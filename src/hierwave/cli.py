@@ -21,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
         "physicality checks, repair cascades, toy two-level dynamics, "
         "and description-length classification.",
     )
-    parser.add_argument("--seed", type=int, default=42, help="global random seed")
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     sub = parser.add_subparsers(dest="command", required=True)
 

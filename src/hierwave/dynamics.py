@@ -10,14 +10,28 @@ kappa * S1 * S2 (S_i is the sum of the block's projections).
 The kinetic expression is read as the Lagrangian content; the equations
 of motion are d/dt (dL/dv_i) = -dU/dx_i, integrated by classical RK4 on
 (x, p).  Because mass depends on velocity, the canonical momentum
-p = m0*v + s1*s2*(lambda0*v + 2*lambda1*v^3) is the honest dynamical
-variable; velocities are recovered each stage by safeguarded Newton
-inversion.  The energy column reports sum m_i(v_i) v_i^2 / 2 + U + Lambda,
-which is conserved when lambda1 = 0.
+p = a*v + b*v^3, with a = m0 + s1*s2*lambda0 and b = 2*s1*s2*lambda1, is the
+honest dynamical variable.  A state is admissible when its effective mass
+and dp/dv = a + 3*b*v^2 are both positive, with a > 0 so that p(v) is
+monotone on the branch through v = 0.  Velocities are recovered at every
+RK4 stage by the closed-form real root of the cubic on that branch
+(Goldstein, Classical Mechanics, ch. 8):
+
+    b > 0:  v = 2r sinh(asinh(3p / (2ar)) / 3),  r = sqrt(a / 3b)
+    b < 0:  v = 2r sin(asin(3p / (2ar)) / 3),    r = sqrt(a / 3|b|)
+    b = 0:  v = p / a
+
+For b < 0 the branch ends where dp/dv = 0, at v = +-r and
+|p| = 2ar/3; a momentum beyond it raises LegendreSingularityError.  The
+energy column reports the conserved Jacobi energy
+h = sum_i (p_i v_i - L_i) + U + Lambda
+  = sum_i [m0 v_i^2/2 + s1*s2 (lambda0 v_i^2/2 + 3/2 lambda1 v_i^4)] + U + Lambda,
+which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -25,8 +39,8 @@ class NonpositiveMassError(ValueError):
     """Effective mass dropped to zero or below."""
 
 
-class MomentumInversionError(RuntimeError):
-    """Newton iteration for v(p) failed to converge."""
+class LegendreSingularityError(ValueError):
+    """dp/dv is not positive: the momentum relation p(v) has no unique inverse."""
 
 
 @dataclass(frozen=True)
@@ -117,51 +131,62 @@ def momentum(cfg: SimConfig, block: int, v: float) -> float:
     return cfg.m0 * v + sig * (cfg.lambda0 * v + 2.0 * cfg.lambda1 * v**3)
 
 
-def invert_momentum(cfg: SimConfig, block: int, p: float, tol: float = 1e-13, max_iter: int = 50) -> float:
-    """Solve p = m0*v + s1*s2*(lambda0*v + 2*lambda1*v^3) for v by Newton
-    iteration with a bisection safeguard."""
+def _branch(cfg: SimConfig, block: int) -> tuple:
+    """Constants (block, a, b, 2r, p_c) of the monotone branch of
+    p = a*v + b*v^3, where p_c = 2ar/3 (the turning momentum when b < 0).
+    2r = 0 selects the linear inverse v = p/a, for b = 0 and for a |b| so
+    small that r overflows."""
     sig = cfg.spin_product(block)
+    a = cfg.m0 + sig * cfg.lambda0
+    b = 2.0 * sig * cfg.lambda1
+    if a <= 0.0:
+        raise LegendreSingularityError(
+            f"dp/dv at v=0 is {a!r} <= 0 for block {block + 1}: p(v) is not monotone"
+        )
+    r = math.sqrt(a / (3.0 * abs(b))) if b else math.inf
+    if r == math.inf:
+        return block, a, b, 0.0, 0.0
+    return block, a, b, 2.0 * r, 2.0 * a * r / 3.0
 
-    def f(v: float) -> float:
-        return momentum(cfg, block, v) - p
 
-    def fp(v: float) -> float:
-        return cfg.m0 + sig * (cfg.lambda0 + 6.0 * cfg.lambda1 * v * v)
-
-    v = p / cfg.m0
-    # expand a bracket around the initial guess; f is increasing for
-    # admissible parameters, so a sign change always appears
-    lo, hi = v - 1.0, v + 1.0
-    grow = 1.0
-    for _ in range(200):
-        if f(lo) <= 0.0 <= f(hi):
-            break
-        grow *= 2.0
-        lo -= grow
-        hi += grow
+def _velocity(branch: tuple, p: float) -> float:
+    """v(p) on the monotone branch, checked for dp/dv > 0 and positive mass."""
+    block, a, b, two_r, p_c = branch
+    if two_r == 0.0:
+        v = p / a
+    elif b > 0.0:
+        v = two_r * math.sinh(math.asinh(p / p_c) / 3.0)
+    elif -p_c < p < p_c:
+        v = two_r * math.sin(math.asin(p / p_c) / 3.0)
     else:
-        raise MomentumInversionError(f"could not bracket v for p={p!r}")
+        raise LegendreSingularityError(
+            f"p={p!r} for block {block + 1} is past the turning momentum {p_c!r} where dp/dv = 0"
+        )
+    m = a + 0.5 * b * v * v
+    if m <= 0.0:
+        raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
+    return v
 
-    scale = max(1.0, abs(p))
-    for _ in range(max_iter):
-        fv = f(v)
-        if abs(fv) <= tol * scale:
-            return v
-        if fv > 0.0:
-            hi = v
-        else:
-            lo = v
-        d = fp(v)
-        step_ok = d > 0.0
-        if step_ok:
-            v_new = v - fv / d
-            step_ok = lo <= v_new <= hi
-        if not step_ok:
-            v_new = 0.5 * (lo + hi)
-        if abs(v_new - v) <= tol * max(1.0, abs(v)):
-            return v_new
-        v = v_new
-    raise MomentumInversionError(f"no convergence inverting p={p!r} for block {block + 1}")
+
+def invert_momentum(cfg: SimConfig, block: int, p: float) -> float:
+    """Solve p = m0*v + s1*s2*(lambda0*v + 2*lambda1*v^3) for v in closed
+    form on the branch where dp/dv > 0; raises LegendreSingularityError
+    where that branch does not reach p."""
+    return _velocity(_branch(cfg, block), p)
+
+
+def _branches(cfg: SimConfig, v: tuple[float, float]) -> tuple[tuple, tuple]:
+    """Both blocks' branch constants, after checking that the velocities v
+    are admissible: positive mass and dp/dv > 0."""
+    out = []
+    for i in (0, 1):
+        effective_mass(cfg, i, v[i])
+        branch = _branch(cfg, i)
+        slope = branch[1] + 3.0 * branch[2] * v[i] * v[i]
+        if slope <= 0.0:
+            raise LegendreSingularityError(f"dp/dv = {slope!r} <= 0 for block {i + 1} at v={v[i]!r}")
+        out.append(branch)
+    return out[0], out[1]
 
 
 def potential_energy(cfg: SimConfig, x: tuple[float, float]) -> float:
@@ -174,80 +199,92 @@ def potential_energy(cfg: SimConfig, x: tuple[float, float]) -> float:
     return u
 
 
+def _block_energy(branch: tuple, v: float) -> float:
+    """p*v - L of one block: a v^2 / 2 + 3 b v^4 / 4."""
+    w = v * v
+    return w * (0.5 * branch[1] + 0.75 * branch[2] * w)
+
+
 def energy(cfg: SimConfig, x: tuple[float, float], v: tuple[float, float]) -> float:
-    """Total energy sum m_i(v_i) v_i^2 / 2 + U(|x1-x2|) + kappa*S1*S2."""
-    kin = sum(0.5 * effective_mass(cfg, i, v[i]) * v[i] * v[i] for i in (0, 1))
-    return kin + potential_energy(cfg, x)
+    """Jacobi energy h = sum_i (p_i v_i - L_i) + U(|x1-x2|) + kappa*S1*S2 of an
+    admissible state; it reduces to sum m_i(v_i) v_i^2 / 2 + U + kappa*S1*S2
+    when lambda1 = 0."""
+    br1, br2 = _branches(cfg, v)
+    return _block_energy(br1, v[0]) + _block_energy(br2, v[1]) + potential_energy(cfg, x)
 
 
-def _force(cfg: SimConfig, x1: float, x2: float) -> tuple[float, float]:
-    if cfg.potential_u is None:
-        return 0.0, 0.0
-    f = -cfg.potential_u.k * (x1 - x2)
-    return f, -f
+def _stiffness(cfg: SimConfig) -> float:
+    return 0.0 if cfg.potential_u is None else cfg.potential_u.k
 
 
-def _deriv(cfg: SimConfig, y: tuple[float, float, float, float]):
-    x1, x2, p1, p2 = y
-    v1 = invert_momentum(cfg, 0, p1)
-    v2 = invert_momentum(cfg, 1, p2)
-    effective_mass(cfg, 0, v1)
-    effective_mass(cfg, 1, v2)
-    f1, f2 = _force(cfg, x1, x2)
-    return (v1, v2, f1, f2)
+def _rk4(dt: float, k: float, br1: tuple, br2: tuple,
+         x1: float, x2: float, p1: float, p2: float, v1: float, v2: float):
+    """One classical RK4 step on (x1, x2, p1, p2) with force -k (x1 - x2) on
+    block 1; v1, v2 are the checked velocities at (p1, p2).  Returns the new
+    (x1, x2, p1, p2, v1, v2)."""
+    h = 0.5 * dt
+    f1 = -k * (x1 - x2)
+    u2 = _velocity(br1, p1 + h * f1)
+    w2 = _velocity(br2, p2 - h * f1)
+    f2 = -k * ((x1 + h * v1) - (x2 + h * v2))
+    u3 = _velocity(br1, p1 + h * f2)
+    w3 = _velocity(br2, p2 - h * f2)
+    f3 = -k * ((x1 + h * u2) - (x2 + h * w2))
+    u4 = _velocity(br1, p1 + dt * f3)
+    w4 = _velocity(br2, p2 - dt * f3)
+    f4 = -k * ((x1 + dt * u3) - (x2 + dt * w3))
+    s = dt / 6.0
+    df = s * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    p1 += df
+    p2 -= df
+    return (
+        x1 + s * (v1 + 2.0 * u2 + 2.0 * u3 + u4),
+        x2 + s * (v2 + 2.0 * w2 + 2.0 * w3 + w4),
+        p1,
+        p2,
+        _velocity(br1, p1),
+        _velocity(br2, p2),
+    )
 
 
 def step(cfg: SimConfig, state: SimState) -> SimState:
     """Advance one dt by classical 4-stage Runge-Kutta on (x, p)."""
-    dt = cfg.dt
-    y = (
-        state.x[0],
-        state.x[1],
-        momentum(cfg, 0, state.v[0]),
-        momentum(cfg, 1, state.v[1]),
+    v1, v2 = state.v
+    br1, br2 = _branches(cfg, state.v)
+    x1, x2, _, _, v1, v2 = _rk4(
+        cfg.dt, _stiffness(cfg), br1, br2, state.x[0], state.x[1],
+        momentum(cfg, 0, v1), momentum(cfg, 1, v2), v1, v2,
     )
-    k1 = _deriv(cfg, y)
-    k2 = _deriv(cfg, tuple(y[i] + 0.5 * dt * k1[i] for i in range(4)))
-    k3 = _deriv(cfg, tuple(y[i] + 0.5 * dt * k2[i] for i in range(4)))
-    k4 = _deriv(cfg, tuple(y[i] + dt * k3[i] for i in range(4)))
-    y_new = tuple(
-        y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4)
-    )
-    v1 = invert_momentum(cfg, 0, y_new[2])
-    v2 = invert_momentum(cfg, 1, y_new[3])
-    effective_mass(cfg, 0, v1)
-    effective_mass(cfg, 1, v2)
-    return SimState(t=state.t + dt, x=(y_new[0], y_new[1]), v=(v1, v2))
-
-
-def _sample(cfg: SimConfig, state: SimState) -> TrajectorySample:
-    return TrajectorySample(
-        t=state.t,
-        x1=state.x[0],
-        x2=state.x[1],
-        v1=state.v[0],
-        v2=state.v[1],
-        m1_eff=effective_mass(cfg, 0, state.v[0]),
-        m2_eff=effective_mass(cfg, 1, state.v[1]),
-        e_total=energy(cfg, state.x, state.v),
-    )
+    return SimState(t=state.t + cfg.dt, x=(x1, x2), v=(v1, v2))
 
 
 def run(cfg: SimConfig) -> Trajectory:
     """Integrate for cfg.steps steps, sampling every step.
 
-    If mass positivity fails mid-run the partial trajectory is returned
-    with the error recorded instead of raised.
+    An inadmissible starting velocity, or a stage that loses mass
+    positivity or dp/dv > 0, ends the run: the partial trajectory is
+    returned with the error recorded instead of raised.
     """
-    state = SimState(t=0.0, x=cfg.x_init, v=cfg.v_init)
     traj = Trajectory(samples=[])
+    append = traj.samples.append
+    dt, k = cfg.dt, _stiffness(cfg)
+    lam = potential_energy(cfg, (0.0, 0.0))  # the constant kappa*S1*S2 term
+    t = 0.0
+    x1, x2 = cfg.x_init
+    v1, v2 = cfg.v_init
     try:
-        traj.samples.append(_sample(cfg, state))
-        for _ in range(cfg.steps):
-            state = step(cfg, state)
-            traj.samples.append(_sample(cfg, state))
-    except NonpositiveMassError as exc:
-        traj.error = f"NonpositiveMassError: {exc}"
+        br1, br2 = _branches(cfg, cfg.v_init)
+        a1, b1, a2, b2 = br1[1], 0.5 * br1[2], br2[1], 0.5 * br2[2]
+        p1, p2 = momentum(cfg, 0, v1), momentum(cfg, 1, v2)
+        for n in range(cfg.steps + 1):
+            if n:  # n = 0 samples the initial state
+                x1, x2, p1, p2, v1, v2 = _rk4(dt, k, br1, br2, x1, x2, p1, p2, v1, v2)
+                t += dt
+            r = x1 - x2
+            e = _block_energy(br1, v1) + _block_energy(br2, v2) + (0.5 * k * r * r + lam)
+            append(TrajectorySample(t, x1, x2, v1, v2, a1 + b1 * v1 * v1, a2 + b2 * v2 * v2, e))
+    except (NonpositiveMassError, LegendreSingularityError) as exc:
+        traj.error = f"{type(exc).__name__}: {exc}"
     return traj
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 
+from hierwave.dynamics import SimConfig, momentum
 from hierwave.state_tree import (
     HierarchyLevel,
     HierState,
@@ -176,3 +177,57 @@ def reference_constant_mass_rk4(m, k, x, v, dt, steps):
         y = tuple(y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4))
         out.append(((n + 1) * dt, *y))
     return out
+
+
+def newton_invert_momentum(
+    cfg: SimConfig, block: int, p: float, bracket=None, tol: float = 1e-13, max_iter: int = 50
+) -> float:
+    """Reference v(p) for p = m0*v + s1*s2*(lambda0*v + 2*lambda1*v^3): Newton
+    iteration with a bisection safeguard, the solver the simulator used before
+    its closed form.  Both stopping rules are relative, so small |v| is
+    resolved too.  Without a bracket one is grown around p/m0; that fails or
+    can straddle the wrong root once dp/dv changes sign (s1*s2*lambda1 < 0),
+    so pass the monotone interval (-r, r), with dp/dv(+-r) = 0, there."""
+    sig = cfg.spin_product(block)
+
+    def f(v: float) -> float:
+        return momentum(cfg, block, v) - p
+
+    def fp(v: float) -> float:
+        return cfg.m0 + sig * (cfg.lambda0 + 6.0 * cfg.lambda1 * v * v)
+
+    if bracket is None:
+        v = p / cfg.m0
+        lo, hi = v - 1.0, v + 1.0
+        grow = 1.0
+        for _ in range(200):
+            if f(lo) <= 0.0 <= f(hi):
+                break
+            grow *= 2.0
+            lo -= grow
+            hi += grow
+        else:
+            raise RuntimeError(f"could not bracket v for p={p!r}")
+    else:
+        lo, hi = bracket
+        v = 0.5 * (lo + hi)
+
+    for _ in range(max_iter):
+        fv = f(v)
+        if abs(fv) <= tol * abs(p):
+            return v
+        if fv > 0.0:
+            hi = v
+        else:
+            lo = v
+        d = fp(v)
+        step_ok = d > 0.0
+        if step_ok:
+            v_new = v - fv / d
+            step_ok = lo <= v_new <= hi
+        if not step_ok:
+            v_new = 0.5 * (lo + hi)
+        if abs(v_new - v) <= tol * abs(v):
+            return v_new
+        v = v_new
+    raise RuntimeError(f"no convergence inverting p={p!r} for block {block + 1}")

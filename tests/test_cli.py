@@ -147,6 +147,30 @@ class TestSimulate:
         for value in ("0", "0.2", "0.4"):
             assert (tmp_path / f"sweep_lambda0_{value}.csv").exists()
 
+    def test_sweep_records_singular_values(self, tmp_path, capsys):
+        # at v1 = 1, dp/dv = 1 - (1/4)(6 lambda1) is negative for lambda1 = 1, 2
+        cfg = {
+            "m0": 1.0,
+            "spins": [0.5, -0.5, 0.5, 0.5],
+            "potential_U": {"type": "harmonic", "k": 1.0},
+            "x_init": [-0.5, 0.5],
+            "v_init": [1.0, 0.0],
+            "dt": 0.001,
+            "steps": 5,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        prefix = str(tmp_path / "sweep")
+        code = main(
+            ["simulate", "--config", str(cfg_path), "--out", prefix, "--sweep", "lambda1=0:2:3"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.0, 1.0, 2.0]
+        assert rows[0][2] == ""
+        for row in rows[1:]:
+            assert len(row) == 3 and row[2].startswith("LegendreSingularityError: dp/dv = ")
+
 
 class TestClassify:
     def test_cosine(self, tmp_path, capsys):
@@ -178,6 +202,10 @@ class TestInfo:
 
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_removed_seed_flag_usage_error():
+    assert main(["--seed", "1", "info", "--state", data_path("two_spin_example.json")]) == 2
 
 
 def test_no_arguments_usage_error():

@@ -6,7 +6,7 @@ import pytest
 from hierwave.dynamics import (
     HarmonicPotential,
     LinearSpinCoupling,
-    MomentumInversionError,
+    LegendreSingularityError,
     NonpositiveMassError,
     SimConfig,
     SimState,
@@ -20,9 +20,10 @@ from hierwave.dynamics import (
     step,
 )
 
-from helpers import reference_constant_mass_rk4
+from helpers import newton_invert_momentum, reference_constant_mass_rk4
 
 UP = (0.5, 0.5, 0.5, 0.5)  # spin products +1/4, +1/4
+MIXED = (0.5, -0.5, 0.5, 0.5)  # spin products -1/4, +1/4
 
 
 def config(**kw):
@@ -73,6 +74,16 @@ class TestEnergy:
         # m1 = 1 + 0.4 * 1/4 = 1.1 at any v since lambda1 = 0
         assert energy(cfg, (0.0, 0.0), (2.0, 0.0)) == pytest.approx(2.2, rel=1e-15)
 
+    def test_jacobi_energy_with_lambda1(self):
+        cfg = config(spins=MIXED, lambda0=0.3, lambda1=0.2, potential_u=HarmonicPotential(k=2.0))
+        x, v = (1.0, 0.0), (0.4, -1.3)
+        # h = sum_i (p_i v_i - m_i(v_i) v_i^2 / 2) + U
+        expected = sum(
+            momentum(cfg, i, v[i]) * v[i] - 0.5 * effective_mass(cfg, i, v[i]) * v[i] ** 2
+            for i in (0, 1)
+        ) + 1.0
+        assert energy(cfg, x, v) == pytest.approx(expected, rel=1e-14)
+
     def test_nonpositive_mass_raises(self):
         cfg = config(spins=(0.5, -0.5, 0.5, 0.5), lambda0=5.0)
         with pytest.raises(NonpositiveMassError):
@@ -81,9 +92,58 @@ class TestEnergy:
 
 class TestMomentumInversion:
     def test_linear_case_exact(self):
-        cfg = config(lambda0=0.4)
         v = 1.7
-        assert invert_momentum(cfg, 0, momentum(cfg, 0, v)) == pytest.approx(v, abs=1e-12)
+        # a subnormal lambda1 overflows the branch scale r and falls back to p/a
+        for lam1 in (0.0, 1e-310):
+            cfg = config(lambda0=0.4, lambda1=lam1)
+            assert invert_momentum(cfg, 0, momentum(cfg, 0, v)) == pytest.approx(v, abs=1e-12)
+
+    def test_closed_form_matches_newton_oracle(self):
+        # beyond criterion 5's region: lambda1 up to 2, both spin-product
+        # signs, v anywhere with dp/dv > 0, including near 0 and near the
+        # turning point v = +-r of a negative cubic term (to 1e-6 r: closer,
+        # p(v) = p(r) - O((r - v)^2) rounds onto the turning momentum)
+        rng = random.Random(7)
+        for _ in range(4000):
+            lam0 = rng.uniform(0.0, 1.0)
+            lam1 = rng.uniform(0.0, 2.0)
+            cfg = config(spins=rng.choice([UP, (0.5, -0.5, 0.5, -0.5)]), lambda0=lam0, lambda1=lam1)
+            block = rng.randint(0, 1)
+            sig = cfg.spin_product(block)
+            a, b = 1.0 + sig * lam0, 2.0 * sig * lam1
+            bracket = None
+            v_max = 10.0
+            if b < 0.0:
+                v_max = math.sqrt(a / (-3.0 * b))  # dp/dv(+-v_max) = 0
+                bracket = (-v_max, v_max)
+            u = rng.choice([
+                rng.uniform(-1.0, 1.0),
+                10.0 ** -rng.uniform(1.0, 8.0),
+                1.0 - 10.0 ** -rng.uniform(1.0, 6.0),
+            ])
+            v = v_max * u * rng.choice([-1.0, 1.0])
+            p = momentum(cfg, block, v)
+            want = newton_invert_momentum(cfg, block, p, bracket)
+            got = invert_momentum(cfg, block, p)
+            # v(p) is ill-conditioned as dp/dv -> 0: a relative change e in p
+            # moves v by e * cond, so the 1e-12 relative bound scales with it
+            cond = abs(p) / (abs(v) * (a + 3.0 * b * v * v))
+            assert abs(got - want) <= 1e-12 * abs(want) * max(1.0, cond), (cfg, block, v)
+
+    def test_singular_momentum_raises(self):
+        # negative cubic term: p(v) turns over at v = +-r, p = +-2ar/3
+        cfg = config(spins=MIXED, lambda1=2.0)
+        a, b = 1.0, -1.0
+        r = math.sqrt(a / (-3.0 * b))
+        p_turn = momentum(cfg, 0, r)
+        assert p_turn == pytest.approx(2.0 * a * r / 3.0, rel=1e-15)
+        assert invert_momentum(cfg, 0, 0.999 * p_turn) < r
+        for p in (p_turn, 1.001 * p_turn, -1.001 * p_turn, 5.0):
+            with pytest.raises(LegendreSingularityError):
+                invert_momentum(cfg, 0, p)
+        # a = m0 + s1*s2*lambda0 <= 0: p(v) is not monotone through v = 0
+        with pytest.raises(LegendreSingularityError):
+            invert_momentum(config(spins=MIXED, lambda0=4.2), 0, 0.0)
 
     def test_randomized_round_trip(self):
         rng = random.Random(42)
@@ -250,6 +310,51 @@ class TestStepAndRun:
         traj = run(cfg)
         assert traj.error is not None and "NonpositiveMass" in traj.error
         assert len(traj.samples) < 101
+
+    @pytest.mark.parametrize("potential", [None, HarmonicPotential(k=1.0)])
+    def test_inadmissible_start_recorded_not_raised(self, potential):
+        # mass 0.5 > 0 but dp/dv = 1 - (1/4)(6 * 2 * 1) = -2 at v1 = 1: the
+        # Newton solver used to jump silently to v1 = 0 (no potential) or
+        # raise out of run (harmonic potential)
+        cfg = config(spins=MIXED, lambda1=2.0, potential_u=potential, v_init=(1.0, 0.0))
+        traj = run(cfg)
+        assert traj.error is not None
+        assert traj.error.startswith("LegendreSingularityError: dp/dv = -2.0")
+        assert traj.samples == []
+        with pytest.raises(LegendreSingularityError):
+            step(cfg, SimState(t=0.0, x=cfg.x_init, v=cfg.v_init))
+
+    def test_turning_point_mid_run_gives_partial_trajectory(self):
+        # block 1 starts at rest on its monotone branch (|v| < r = 1/sqrt(3));
+        # the spring accelerates it past the turning momentum
+        cfg = config(
+            spins=MIXED,
+            lambda1=2.0,
+            potential_u=HarmonicPotential(k=1.0),
+            x_init=(-1.0, 1.0),
+            steps=5000,
+        )
+        traj = run(cfg)
+        assert traj.error is not None and traj.error.startswith("LegendreSingularityError")
+        assert 1 < len(traj.samples) < cfg.steps + 1
+        r = 1.0 / math.sqrt(3.0)
+        assert all(abs(s.v1) < r for s in traj.samples)
+
+    def test_jacobi_energy_conserved_with_lambda1(self):
+        # the velocity-dependent mass does work-free exchange between
+        # sum m v^2 / 2 and the spin coupling; only h is conserved
+        cfg = config(
+            lambda0=0.3,
+            lambda1=0.2,
+            potential_u=HarmonicPotential(k=1.0),
+            x_init=(-0.5, 0.5),
+            v_init=(0.3, -0.1),
+            dt=1e-3,
+            steps=10000,
+        )
+        traj = run(cfg)
+        assert traj.error is None
+        assert max_energy_drift(traj) < 1e-9
 
 
 class TestConfigIO:
