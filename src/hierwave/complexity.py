@@ -37,7 +37,6 @@ class Verdict(Enum):
 class MatrixElementSeries:
     values: tuple[float, ...]
     quantization: float
-    labels: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))

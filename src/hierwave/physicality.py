@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .rep_theory import IrrepLabel, contains, decompose_product
 from .state_tree import (
@@ -125,18 +126,9 @@ class PauliViolation:
 
 
 def _state_key(wave: NodeWave):
-    if not wave.amplitudes:
+    if wave.statistics != FERMION or not wave.amplitudes:
         return None
     return (wave.quantum_numbers, dominant_label(wave))
-
-
-def _members_at_depth(node: HierState, path: str, depth: int) -> list[tuple[str, HierState]]:
-    if depth == 0:
-        return [(path, node)]
-    out: list[tuple[str, HierState]] = []
-    for i, child in enumerate(node.children):
-        out.extend(_members_at_depth(child, f"{path}.{i}", depth - 1))
-    return out
 
 
 def pauli_check(psi: HierState, scope: int = 1) -> list[PauliViolation]:
@@ -149,23 +141,14 @@ def pauli_check(psi: HierState, scope: int = 1) -> list[PauliViolation]:
     """
     if scope < 1:
         raise ValueError("scope must be >= 1")
-    violations: list[PauliViolation] = []
+    groups: dict[tuple, list[str]] = {}
     for path, node in iter_nodes(psi):
-        members = _members_at_depth(node, path, scope)
-        fermions = [
-            (p, _state_key(n.wave))
-            for p, n in members
-            if n.wave.statistics == FERMION and _state_key(n.wave) is not None
-        ]
-        for a in range(len(fermions)):
-            for b in range(a + 1, len(fermions)):
-                if fermions[a][1] == fermions[b][1]:
-                    violations.append(
-                        PauliViolation(
-                            system_path=path,
-                            first=fermions[a][0],
-                            second=fermions[b][0],
-                            state=repr(fermions[a][1]),
-                        )
-                    )
+        system, *below = path.rsplit(".", scope)  # fewer than scope levels deep: no system
+        if len(below) == scope and (key := _state_key(node.wave)) is not None:
+            groups.setdefault((system, key), []).append(path)
+    violations = [PauliViolation(system, a, b, repr(key))
+                  for (system, key), paths in groups.items() for a, b in combinations(paths, 2)]
+    # system, then first, then second in pre-order: the lexicographic order of child indices
+    violations.sort(key=lambda v: [[int(i) for i in p.split(".")[1:]]
+                                   for p in (v.system_path, v.first, v.second)])
     return violations

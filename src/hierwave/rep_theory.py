@@ -194,7 +194,7 @@ def clebsch_gordan(q: CGQuery) -> float:
     """Clebsch-Gordan coefficient <j1 m1 j2 m2 | J M>, Condon-Shortley phases.
 
     Returns 0 when M != m1+m2 or J lies outside the coupling series.
-    Exact to double precision for 2j up to ~40 (big-integer factorials).
+    Exact rational sum; the float result is within ~1 ulp at any spin unless its square underflows.
     """
     q.validate()
     return _cg_value(q.twice_j1, q.twice_m1, q.twice_j2, q.twice_m2, q.twice_J, q.twice_M)

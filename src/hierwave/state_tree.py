@@ -11,9 +11,9 @@ children; those objects live in different spaces.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+import operator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Union
 
 # symmetry-group tags; any other string is treated as a custom group
 SU2 = "SU2"
@@ -25,10 +25,15 @@ FERMION = "fermion"
 UNSPECIFIED = "unspecified"
 
 AMPLITUDE_TOL = 1e-12
+_TOO_DEEP = "state exceeds the JSON nesting limit of about 490 tree levels (2 JSON levels each)"
 
 
 class ShapeMismatchError(ValueError):
     """Addition of trees that are not congruent."""
+
+
+class StateTooDeepError(ValueError):
+    """A state nested deeper than its JSON form allows."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,22 @@ class Violation:
 
 
 def iter_nodes(psi: HierState, path: str = "root") -> Iterator[tuple[str, HierState]]:
-    """Depth-first traversal yielding (path, node); children are addressed by
-    index, e.g. "root.0.1"."""
-    yield path, psi
-    for i, child in enumerate(psi.children):
-        yield from iter_nodes(child, f"{path}.{i}")
+    """Pre-order traversal yielding (path, node); children are addressed by
+    index, e.g. "root.0.1".  Iterative, so depth is unbounded."""
+    stack = [(path, psi)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend(reversed([(f"{path}.{i}", c) for i, c in enumerate(node.children)]))
+
+
+def _assemble(pairs: Iterable[tuple[NodeWave, int]]) -> HierState:
+    """Rebuild a tree from its pre-order (wave, child count) pairs: in reverse
+    pre-order each node finds its subtrees on the stack, first child on top."""
+    stack: list[HierState] = []
+    for wave, n_children in reversed(list(pairs)):
+        stack.append(HierState(wave, tuple(stack.pop() for _ in range(n_children))))
+    return stack[0]
 
 
 def dominant_index(wave: NodeWave) -> int:
@@ -139,41 +155,30 @@ def dominant_label(wave: NodeWave) -> BasisLabel:
 
 def scalar_mul(a: complex, psi: HierState) -> HierState:
     """Multiply every amplitude at every node by a; tree shape is preserved."""
-    wave = NodeWave(
-        level=psi.wave.level,
-        amplitudes=tuple(a * amp for amp in psi.wave.amplitudes),
-        statistics=psi.wave.statistics,
-        quantum_numbers=psi.wave.quantum_numbers,
+    return _assemble(
+        (replace(n.wave, amplitudes=tuple(a * x for x in n.wave.amplitudes)), len(n.children))
+        for _, n in iter_nodes(psi)
     )
-    return HierState(wave, tuple(scalar_mul(a, c) for c in psi.children))
 
 
 def congruent(phi: HierState, psi: HierState) -> bool:
     """True iff the trees have identical shape, level indices, group tags and
     bases node by node."""
-    if phi.wave.level != psi.wave.level:
-        return False
-    if len(phi.children) != len(psi.children):
-        return False
-    return all(congruent(a, b) for a, b in zip(phi.children, psi.children))
+    return all(
+        p.wave.level == q.wave.level and len(p.children) == len(q.children)
+        for (_, p), (_, q) in zip(iter_nodes(phi), iter_nodes(psi))
+    )
 
 
 def add(phi: HierState, psi: HierState) -> HierState:
     """Componentwise sum of two congruent trees."""
     if not congruent(phi, psi):
         raise ShapeMismatchError("cannot add non-congruent hierarchical states")
-    return _add_unchecked(phi, psi)
-
-
-def _add_unchecked(phi: HierState, psi: HierState) -> HierState:
-    wave = NodeWave(
-        level=phi.wave.level,
-        amplitudes=tuple(a + b for a, b in zip(phi.wave.amplitudes, psi.wave.amplitudes)),
-        statistics=phi.wave.statistics,
-        quantum_numbers=phi.wave.quantum_numbers,
+    return _assemble(
+        (replace(p.wave, amplitudes=tuple(map(operator.add, p.wave.amplitudes, q.wave.amplitudes))),
+         len(p.children))
+        for (_, p), (_, q) in zip(iter_nodes(phi), iter_nodes(psi))
     )
-    children = tuple(_add_unchecked(a, b) for a, b in zip(phi.children, psi.children))
-    return HierState(wave, children)
 
 
 def validate_tree(psi: HierState, require_normalized: bool = False) -> list[Violation]:
@@ -252,8 +257,11 @@ def state_to_obj(psi: HierState) -> dict:
         "basis": [_label_to_obj(b) for b in wave.level.basis],
         "amplitudes": [[a.real, a.imag] for a in wave.amplitudes],
         "statistics": wave.statistics,
-        "children": [state_to_obj(c) for c in psi.children],
     }
+    try:
+        obj["children"] = [state_to_obj(c) for c in psi.children]
+    except RecursionError:
+        raise StateTooDeepError(_TOO_DEEP) from None
     if wave.quantum_numbers is not None:
         obj["quantum_numbers"] = list(wave.quantum_numbers)
     return obj
@@ -272,23 +280,32 @@ def state_from_obj(obj: dict) -> HierState:
         statistics=obj.get("statistics", UNSPECIFIED),
         quantum_numbers=tuple(qn) if qn is not None else None,
     )
-    return HierState(wave, tuple(state_from_obj(c) for c in obj.get("children", [])))
+    try:
+        return HierState(wave, tuple(state_from_obj(c) for c in obj.get("children", [])))
+    except RecursionError:
+        raise StateTooDeepError(_TOO_DEEP) from None
 
 
 def state_to_json(psi: HierState, indent: int | None = 2) -> str:
-    return json.dumps(state_to_obj(psi), indent=indent)
+    try:
+        return json.dumps(state_to_obj(psi), indent=indent)
+    except RecursionError:
+        raise StateTooDeepError(_TOO_DEEP) from None
 
 
 def state_from_json(text: str) -> HierState:
-    return state_from_obj(json.loads(text))
+    try:
+        return state_from_obj(json.loads(text))
+    except RecursionError:
+        raise StateTooDeepError(_TOO_DEEP) from None
 
 
 def load_state(path: str) -> HierState:
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_obj(json.load(fh))
+        return state_from_json(fh.read())
 
 
 def save_state(psi: HierState, path: str) -> None:
+    text = state_to_json(psi) + "\n"  # before opening, so a failure leaves the file intact
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(psi))
-        fh.write("\n")
+        fh.write(text)

@@ -9,7 +9,9 @@ from collections import Counter
 import numpy as np
 
 from hierwave.dynamics import SimConfig, momentum
+from hierwave.physicality import PauliViolation
 from hierwave.state_tree import (
+    FERMION,
     HierarchyLevel,
     HierState,
     Named,
@@ -17,6 +19,7 @@ from hierwave.state_tree import (
     SU2,
     SpinWeight,
     UNSPECIFIED,
+    dominant_label,
 )
 
 
@@ -153,6 +156,67 @@ def two_spin_state(parent_label: SpinWeight, child_ms: tuple[int, int]) -> HierS
         for tm in child_ms
     )
     return HierState(NodeWave(level=parent_level, amplitudes=parent_amps), children)
+
+
+def _preorder(node: HierState, path: str = "root"):
+    yield path, node
+    for i, child in enumerate(node.children):
+        yield from _preorder(child, f"{path}.{i}")
+
+
+def _members_at_depth(node: HierState, path: str, depth: int) -> list[tuple[str, HierState]]:
+    if depth == 0:
+        return [(path, node)]
+    out: list[tuple[str, HierState]] = []
+    for i, child in enumerate(node.children):
+        out.extend(_members_at_depth(child, f"{path}.{i}", depth - 1))
+    return out
+
+
+def reference_pauli_check(psi: HierState, scope: int) -> list[PauliViolation]:
+    """Exclusion check by brute force: for every node in recursive pre-order,
+    collect its fermionic descendants exactly ``scope`` levels down and
+    compare every pair's (quantum_numbers, dominant label)."""
+    violations = []
+    for path, node in _preorder(psi):
+        fermions = [
+            (p, (n.wave.quantum_numbers, dominant_label(n.wave)))
+            for p, n in _members_at_depth(node, path, scope)
+            if n.wave.statistics == FERMION and n.wave.amplitudes
+        ]
+        for a in range(len(fermions)):
+            for b in range(a + 1, len(fermions)):
+                if fermions[a][1] == fermions[b][1]:
+                    violations.append(
+                        PauliViolation(path, fermions[a][0], fermions[b][0], repr(fermions[a][1]))
+                    )
+    return violations
+
+
+def chain_state(depth: int, n_leaves: int = 1) -> HierState:
+    """A chain of spin-1/2 nodes at levels 0..depth-1 whose last node has
+    ``n_leaves`` identical fermionic spin-1/2 leaves at level ``depth``;
+    built bottom-up, so any depth is cheap."""
+
+    def wave(level_index: int, statistics: str = UNSPECIFIED) -> NodeWave:
+        level = HierarchyLevel(level_index, SU2, (SpinWeight(1, 1),))
+        return NodeWave(level, (1.0,), statistics)
+
+    children = (HierState(wave(depth, FERMION)),) * n_leaves
+    for d in range(depth - 1, -1, -1):
+        children = (HierState(wave(d), children),)
+    return children[0]
+
+
+def chain_state_json(depth: int) -> str:
+    """JSON text of chain_state(depth), written by hand because past about
+    490 tree levels the json module can neither write nor read it."""
+    spin = '{"type": "spin", "twice_j": 1, "twice_m": 1}'
+    return "".join(
+        f'{{"level": {d}, "group": "SU2", "basis": [{spin}], "amplitudes": [[1.0, 0.0]], '
+        f'"statistics": "{FERMION if d == depth else UNSPECIFIED}", "children": ['
+        for d in range(depth + 1)
+    ) + "]}" * (depth + 1)
 
 
 def reference_constant_mass_rk4(m, k, x, v, dt, steps):

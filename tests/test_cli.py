@@ -6,6 +6,8 @@ import pytest
 
 from hierwave.cli import main
 
+from helpers import chain_state_json
+
 DATA = resources.files("hierwave") / "data"
 
 
@@ -198,6 +200,14 @@ class TestInfo:
         assert main(["info", "--state", data_path("two_spin_example.json")]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "nodes: 3"
+
+
+@pytest.mark.parametrize("command", ["validate", "pauli", "info"])
+def test_too_deep_state_file_is_named_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(chain_state_json(600))
+    assert main([command, "--state", str(path)]) == 1
+    assert "error: StateTooDeepError: " in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage_error():

@@ -15,6 +15,7 @@ from hierwave.rep_theory import IrrepLabel
 from hierwave.state_tree import (
     BOSON,
     FERMION,
+    UNSPECIFIED,
     HierarchyLevel,
     HierState,
     Named,
@@ -23,7 +24,7 @@ from hierwave.state_tree import (
     SU2,
 )
 
-from helpers import two_spin_state
+from helpers import chain_state, reference_pauli_check, two_spin_state
 
 HALF = IrrepLabel(1)
 
@@ -183,3 +184,38 @@ class TestPauliCheck:
         assert len(a) == len(b) == 1
         assert {frozenset((v.first, v.second)) for v in a} == {frozenset(("root.0", "root.1"))}
         assert {frozenset((v.first, v.second)) for v in b} == {frozenset(("root.1", "root.2"))}
+
+    def test_matches_brute_force_oracle_randomized(self):
+        # small label and quantum-number pools so equal states are common
+        labels = (SpinWeight(1, 1), SpinWeight(1, -1), SpinWeight(3, 1))
+
+        def tree(rng, level_index, max_depth):
+            basis = labels[: rng.randint(1, 3)]
+            wave = NodeWave(
+                HierarchyLevel(level_index, SU2, basis),
+                tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in basis),
+                statistics=rng.choice((FERMION, FERMION, BOSON, UNSPECIFIED)),
+                quantum_numbers=rng.choice((None, (1, 0), (2, 0))),
+            )
+            n = rng.randint(0, 4) if level_index < max_depth else 0
+            return HierState(wave, tuple(tree(rng, level_index + 1, max_depth) for _ in range(n)))
+
+        total = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            psi = tree(rng, 0, rng.randint(0, 5))
+            for scope in (1, 2, 3):
+                found = pauli_check(psi, scope)
+                assert found == reference_pauli_check(psi, scope), (seed, scope)
+                total += len(found)
+        assert total > 100  # the trees do exercise the exclusion rule
+
+    def test_deep_chain(self):
+        # two identical fermion leaves under a depth-10^4 chain
+        depth = 10**4
+        psi = chain_state(depth, n_leaves=2)
+        parent = "root" + ".0" * (depth - 1)
+        for scope in (1, 2):
+            (v,) = pauli_check(psi, scope)
+            assert v.system_path == parent.rsplit(".", scope - 1)[0]
+            assert (v.first, v.second) == (parent + ".0", parent + ".1")

@@ -163,3 +163,20 @@ class TestClebschGordan:
         # exact factorial arithmetic keeps big-j values finite and sane
         val = clebsch_gordan(CGQuery(40, 0, 40, 0, 0, 0))
         assert abs(val) == pytest.approx(1 / math.sqrt(41), abs=1e-12)
+
+    def test_high_spin_against_sympy_exact(self):
+        from sympy import Rational
+        from sympy.physics.wigner import clebsch_gordan as exact_cg
+
+        rng = random.Random(7)
+        for tj1 in (100, 200):
+            for _ in range(25):
+                tj2 = rng.choice((1, 2, 3, 7, 24, 50, 100, tj1))
+                tm1 = rng.randrange(-tj1, tj1 + 1, 2)
+                tm2 = rng.randrange(-tj2, tj2 + 1, 2)
+                tM = tm1 + tm2
+                tJ = rng.randrange(max(abs(tj1 - tj2), abs(tM)), tj1 + tj2 + 1, 2)
+                half = [Rational(t, 2) for t in (tj1, tj2, tJ, tm1, tm2, tM)]
+                expected = float(exact_cg(*half).evalf(40))
+                got = clebsch_gordan(CGQuery(tj1, tm1, tj2, tm2, tJ, tM))
+                assert abs(got - expected) <= 1e-15, (tj1, tm1, tj2, tm2, tJ, tM)

@@ -13,18 +13,24 @@ from hierwave.state_tree import (
     Point,
     ShapeMismatchError,
     SpinWeight,
+    StateTooDeepError,
     SU2,
     TRANSLATION_1D,
     add,
     congruent,
     dominant_label,
+    iter_nodes,
+    save_state,
     scalar_mul,
     state_from_json,
+    state_from_obj,
     state_to_json,
+    state_to_obj,
     validate_tree,
 )
+from hierwave.physicality import check_node, pauli_check
 
-from helpers import amplitudes_close, fill_shape, random_shape
+from helpers import amplitudes_close, chain_state, chain_state_json, fill_shape, random_shape
 
 
 def leaf(level_index=0, amps=(1.0,), n_basis=None, **kw):
@@ -224,6 +230,48 @@ class TestSerialization:
     def test_json_schema_fields(self):
         obj = json.loads(state_to_json(two_node_tree()))
         assert set(obj) >= {"level", "group", "basis", "amplitudes", "statistics", "children"}
+
+
+class TestDepth:
+    def test_in_memory_operations_on_depth_ten_thousand_chain(self):
+        depth = 10**4
+        psi = chain_state(depth)
+        count = 0
+        for k, (path, node) in enumerate(iter_nodes(psi)):
+            assert path == "root" + ".0" * k and node.wave.level.level_index == k
+            count += 1
+        assert count == depth + 1
+        assert validate_tree(psi) == []
+        zero = add(psi, scalar_mul(-1, psi))
+        assert congruent(zero, psi)
+        assert all(a == 0 for _, n in iter_nodes(zero) for a in n.wave.amplitudes)
+        reports = check_node(psi)
+        assert len(reports) == depth and all(r.physical for _, r in reports)
+        assert pauli_check(psi, 1) == [] and pauli_check(psi, 2) == []
+
+    def test_hand_written_chain_json_loads(self):
+        assert state_from_json(chain_state_json(50)) == chain_state(50)
+
+    def test_json_forms_reject_deep_state(self):
+        psi = chain_state(600)
+        with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
+            state_to_obj(psi)
+        with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
+            state_to_json(psi)
+        with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
+            state_from_json(chain_state_json(600))
+        obj = {"level": 600, "group": SU2, "basis": [], "amplitudes": []}
+        for d in range(599, -1, -1):
+            obj = {"level": d, "group": SU2, "basis": [], "amplitudes": [], "children": [obj]}
+        with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
+            state_from_obj(obj)
+
+    def test_save_deep_state_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("previous contents")
+        with pytest.raises(StateTooDeepError):
+            save_state(chain_state(600), str(path))
+        assert path.read_text() == "previous contents"
 
 
 def test_dominant_label_tie_breaks_low_index():
