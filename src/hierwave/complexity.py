@@ -8,7 +8,9 @@ whose compressed size stays close to (or above) its raw size behaves
 like an irreducible record ("SeriesLike"); one that collapses is well
 captured by a short generative rule ("RuleLike").
 
-Bit-stream layout (all integers Elias-gamma coded):
+Bit-stream layout (all integers Elias-gamma coded; the code of n is
+2*n.bit_length() - 1 bits long, so description_length sums the code
+lengths without building the stream):
     gamma(K)                        number of distinct symbols
     K * gamma(zigzag(symbol) + 1)   dictionary, first-appearance order
     gamma(n)                        series length
@@ -65,26 +67,9 @@ def _zigzag(s: int) -> int:
     return 2 * s if s >= 0 else -2 * s - 1
 
 
-def _unzigzag(z: int) -> int:
-    return z // 2 if z % 2 == 0 else -(z + 1) // 2
-
-
-def _gamma_bits(n: int) -> list[int]:
-    assert n >= 1
-    b = bin(n)[2:]
-    return [0] * (len(b) - 1) + [int(c) for c in b]
-
-
-def _read_gamma(bits: Sequence[int], pos: int) -> tuple[int, int]:
-    zeros = 0
-    while pos < len(bits) and bits[pos] == 0:
-        zeros += 1
-        pos += 1
-    end = pos + zeros + 1
-    if end > len(bits):
-        raise ValueError("truncated gamma code")
-    n = int("".join(str(b) for b in bits[pos:end]), 2)
-    return n, end
+def _gamma_len(n: int) -> int:
+    """Length of the Elias-gamma code of n >= 1."""
+    return 2 * n.bit_length() - 1
 
 
 def _first_appearance(symbols: Sequence[int]) -> list[int]:
@@ -97,77 +82,31 @@ def _first_appearance(symbols: Sequence[int]) -> list[int]:
 def dictionary_header_bits(symbols: Sequence[int]) -> int:
     """Size of the gamma-coded dictionary part of the stream."""
     order = _first_appearance(symbols)
-    bits = len(_gamma_bits(len(order)))
-    for s in order:
-        bits += len(_gamma_bits(_zigzag(s) + 1))
-    return bits
-
-
-def encode_symbols(symbols: Sequence[int]) -> list[int]:
-    """Compress to a bit list: dictionary header, length, MTF+RLE body."""
-    if not symbols:
-        raise ValueError("cannot encode an empty symbol sequence")
-    order = _first_appearance(symbols)
-    index = {s: i for i, s in enumerate(order)}
-    bits = _gamma_bits(len(order))
-    for s in order:
-        bits.extend(_gamma_bits(_zigzag(s) + 1))
-    bits.extend(_gamma_bits(len(symbols)))
-
-    mtf = list(range(len(order)))
-    stream: list[int] = []
-    for s in symbols:
-        i = index[s]
-        pos = mtf.index(i)
-        stream.append(pos)
-        del mtf[pos]
-        mtf.insert(0, i)
-
-    run_val = stream[0]
-    run_len = 1
-    for v in stream[1:]:
-        if v == run_val:
-            run_len += 1
-        else:
-            bits.extend(_gamma_bits(run_val + 1))
-            bits.extend(_gamma_bits(run_len))
-            run_val, run_len = v, 1
-    bits.extend(_gamma_bits(run_val + 1))
-    bits.extend(_gamma_bits(run_len))
-    return bits
-
-
-def decode_symbols(bits: Sequence[int]) -> list[int]:
-    """Inverse of encode_symbols."""
-    pos = 0
-    k, pos = _read_gamma(bits, pos)
-    order = []
-    for _ in range(k):
-        z, pos = _read_gamma(bits, pos)
-        order.append(_unzigzag(z - 1))
-    n, pos = _read_gamma(bits, pos)
-
-    mtf = list(range(k))
-    out: list[int] = []
-    while len(out) < n:
-        val, pos = _read_gamma(bits, pos)
-        length, pos = _read_gamma(bits, pos)
-        mtf_pos = val - 1
-        # replay the move-to-front step per element: a repeated non-zero
-        # position keeps re-reading the list after each move
-        for _ in range(length):
-            i = mtf[mtf_pos]
-            del mtf[mtf_pos]
-            mtf.insert(0, i)
-            out.append(order[i])
-    if len(out) != n:
-        raise ValueError("run-length payload overshoots declared length")
-    return out
+    return _gamma_len(len(order)) + sum(_gamma_len(_zigzag(s) + 1) for s in order)
 
 
 def description_length(symbols: Sequence[int]) -> int:
-    """Compressed size in bits under the pinned-down coder."""
-    return len(encode_symbols(symbols))
+    """Compressed size in bits under the pinned-down coder, counted code by
+    code without building the stream."""
+    if not symbols:
+        raise ValueError("cannot encode an empty symbol sequence")
+    bits = dictionary_header_bits(symbols) + _gamma_len(len(symbols))
+    index = {s: i for i, s in enumerate(_first_appearance(symbols))}
+    mtf = list(range(len(index)))
+    # the first symbol always sits at MTF position 0, so the first run
+    # starts there
+    run_val, run_len = 0, 0
+    for s in symbols:
+        i = index[s]
+        pos = mtf.index(i)
+        del mtf[pos]
+        mtf.insert(0, i)
+        if pos == run_val:
+            run_len += 1
+        else:
+            bits += _gamma_len(run_val + 1) + _gamma_len(run_len)
+            run_val, run_len = pos, 1
+    return bits + _gamma_len(run_val + 1) + _gamma_len(run_len)
 
 
 def raw_bits(symbols: Sequence[int]) -> int:
@@ -176,8 +115,7 @@ def raw_bits(symbols: Sequence[int]) -> int:
     if not symbols:
         raise ValueError("empty symbol sequence")
     k = len(set(symbols))
-    per_symbol = max(1, math.ceil(math.log2(k))) if k > 1 else 1
-    return len(symbols) * per_symbol
+    return len(symbols) * max(1, (k - 1).bit_length())
 
 
 def classify(series: MatrixElementSeries, threshold: float = DEFAULT_THRESHOLD) -> ComplexityReport:

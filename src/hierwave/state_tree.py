@@ -286,9 +286,9 @@ def state_from_obj(obj: dict) -> HierState:
         raise StateTooDeepError(_TOO_DEEP) from None
 
 
-def state_to_json(psi: HierState, indent: int | None = 2) -> str:
+def state_to_json(psi: HierState) -> str:
     try:
-        return json.dumps(state_to_obj(psi), indent=indent)
+        return json.dumps(state_to_obj(psi))
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
 
@@ -298,6 +298,8 @@ def state_from_json(text: str) -> HierState:
         return state_from_obj(json.loads(text))
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
+    except KeyError as exc:
+        raise ValueError(f"not a hierwave state: a node lacks key {exc}") from None
 
 
 def load_state(path: str) -> HierState:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
+from hierwave.complexity import _first_appearance, _zigzag
 from hierwave.dynamics import SimConfig, momentum
 from hierwave.physicality import PauliViolation
 from hierwave.state_tree import (
@@ -295,3 +297,91 @@ def newton_invert_momentum(
             return v_new
         v = v_new
     raise RuntimeError(f"no convergence inverting p={p!r} for block {block + 1}")
+
+
+# Bit-exact reference coder for hierwave.complexity: builds the stream that
+# description_length only counts, and decodes it back.
+
+
+def _unzigzag(z: int) -> int:
+    return z // 2 if z % 2 == 0 else -(z + 1) // 2
+
+
+def _gamma_bits(n: int) -> list[int]:
+    assert n >= 1
+    b = bin(n)[2:]
+    return [0] * (len(b) - 1) + [int(c) for c in b]
+
+
+def _read_gamma(bits: Sequence[int], pos: int) -> tuple[int, int]:
+    zeros = 0
+    while pos < len(bits) and bits[pos] == 0:
+        zeros += 1
+        pos += 1
+    end = pos + zeros + 1
+    if end > len(bits):
+        raise ValueError("truncated gamma code")
+    n = int("".join(str(b) for b in bits[pos:end]), 2)
+    return n, end
+
+
+def encode_symbols(symbols: Sequence[int]) -> list[int]:
+    """Compress to a bit list: dictionary header, length, MTF+RLE body."""
+    if not symbols:
+        raise ValueError("cannot encode an empty symbol sequence")
+    order = _first_appearance(symbols)
+    index = {s: i for i, s in enumerate(order)}
+    bits = _gamma_bits(len(order))
+    for s in order:
+        bits.extend(_gamma_bits(_zigzag(s) + 1))
+    bits.extend(_gamma_bits(len(symbols)))
+
+    mtf = list(range(len(order)))
+    stream: list[int] = []
+    for s in symbols:
+        i = index[s]
+        pos = mtf.index(i)
+        stream.append(pos)
+        del mtf[pos]
+        mtf.insert(0, i)
+
+    run_val = stream[0]
+    run_len = 1
+    for v in stream[1:]:
+        if v == run_val:
+            run_len += 1
+        else:
+            bits.extend(_gamma_bits(run_val + 1))
+            bits.extend(_gamma_bits(run_len))
+            run_val, run_len = v, 1
+    bits.extend(_gamma_bits(run_val + 1))
+    bits.extend(_gamma_bits(run_len))
+    return bits
+
+
+def decode_symbols(bits: Sequence[int]) -> list[int]:
+    """Inverse of encode_symbols."""
+    pos = 0
+    k, pos = _read_gamma(bits, pos)
+    order = []
+    for _ in range(k):
+        z, pos = _read_gamma(bits, pos)
+        order.append(_unzigzag(z - 1))
+    n, pos = _read_gamma(bits, pos)
+
+    mtf = list(range(k))
+    out: list[int] = []
+    while len(out) < n:
+        val, pos = _read_gamma(bits, pos)
+        length, pos = _read_gamma(bits, pos)
+        mtf_pos = val - 1
+        # replay the move-to-front step per element: a repeated non-zero
+        # position keeps re-reading the list after each move
+        for _ in range(length):
+            i = mtf[mtf_pos]
+            del mtf[mtf_pos]
+            mtf.insert(0, i)
+            out.append(order[i])
+    if len(out) != n:
+        raise ValueError("run-length payload overshoots declared length")
+    return out

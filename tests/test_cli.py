@@ -210,6 +210,14 @@ def test_too_deep_state_file_is_named_domain_error(command, tmp_path, capsys):
     assert "error: StateTooDeepError: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "pauli", "info"])
+@pytest.mark.parametrize("name", ["hydra.json", "harmonic_benchmark.json"])
+def test_non_state_file_is_named_domain_error(command, name, capsys):
+    assert main([command, "--state", data_path(name)]) == 1
+    err = capsys.readouterr().err
+    assert "not a hierwave state: a node lacks key 'level'" in err and "KeyError" not in err
+
+
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
 

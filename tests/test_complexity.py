@@ -8,13 +8,13 @@ from hierwave.complexity import (
     MatrixElementSeries,
     Verdict,
     classify,
-    decode_symbols,
     description_length,
     dictionary_header_bits,
-    encode_symbols,
     raw_bits,
     symbolize,
 )
+
+from helpers import _read_gamma, decode_symbols, encode_symbols
 
 
 def series(values, q):
@@ -79,6 +79,11 @@ class TestCoder:
         seq = [rng.randrange(256) for _ in range(4096)]
         assert description_length(seq) / raw_bits(seq) > 0.9
 
+    def test_raw_bits_per_symbol_is_ceil_log2_alphabet(self):
+        for k in range(1, 4097):
+            expected = max(1, math.ceil(math.log2(k))) if k > 1 else 1
+            assert raw_bits(list(range(k))) == k * expected
+
     def test_sizes_positive(self):
         for seq in ([0], [1, 2, 3], [-5] * 10):
             assert description_length(seq) > 0
@@ -95,6 +100,36 @@ class TestCoder:
         assert abs(a - b) <= bound
         # body identical: difference is exactly the header delta
         assert a - dictionary_header_bits(seq) == b - dictionary_header_bits(permuted)
+
+    def test_counted_length_matches_reference_coder(self):
+        rng = random.Random(2024)
+        for trial in range(600):
+            k = rng.choice([1, 2, 3, 17, 64, 300])
+            lo = rng.randrange(-400, 100)
+            alphabet = [lo + rng.randrange(3 * k) for _ in range(k)]
+            n = rng.randrange(1, 400)
+            if trial % 3 == 0:
+                # long runs of repeated symbols
+                seq = []
+                while len(seq) < n:
+                    seq += [rng.choice(alphabet)] * rng.randrange(1, 60)
+            else:
+                seq = [rng.choice(alphabet) for _ in range(n)]
+            assert description_length(seq) == len(encode_symbols(seq)), seq
+
+    def test_header_matches_reference_coder(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            seq = [rng.randrange(-300, 300) for _ in range(rng.randrange(1, 200))]
+            bits = encode_symbols(seq)
+            k, pos = _read_gamma(bits, 0)
+            for _ in range(k):
+                _, pos = _read_gamma(bits, pos)
+            assert dictionary_header_bits(seq) == pos
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            description_length([])
 
     def test_constant_never_beats_random(self):
         rng = random.Random(42)

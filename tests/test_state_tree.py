@@ -20,6 +20,7 @@ from hierwave.state_tree import (
     congruent,
     dominant_label,
     iter_nodes,
+    load_state,
     save_state,
     scalar_mul,
     state_from_json,
@@ -231,6 +232,9 @@ class TestSerialization:
         obj = json.loads(state_to_json(two_node_tree()))
         assert set(obj) >= {"level", "group", "basis", "amplitudes", "statistics", "children"}
 
+    def test_json_is_compact(self):
+        assert "\n" not in state_to_json(chain_state(5))
+
 
 class TestDepth:
     def test_in_memory_operations_on_depth_ten_thousand_chain(self):
@@ -265,6 +269,15 @@ class TestDepth:
             obj = {"level": d, "group": SU2, "basis": [], "amplitudes": [], "children": [obj]}
         with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
             state_from_obj(obj)
+
+    def test_chain_near_the_json_limit_round_trips_through_files(self, tmp_path):
+        # 450 levels leaves room for the test runner's own frames; waves are
+        # compared node by node because == on HierState recurses
+        path = tmp_path / "state.json"
+        psi = chain_state(450)
+        save_state(psi, str(path))
+        again = load_state(str(path))
+        assert [n.wave for _, n in iter_nodes(again)] == [n.wave for _, n in iter_nodes(psi)]
 
     def test_save_deep_state_keeps_existing_file(self, tmp_path):
         path = tmp_path / "state.json"
