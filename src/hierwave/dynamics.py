@@ -327,18 +327,23 @@ def _potential_spin_from_obj(obj) -> LinearSpinCoupling | None:
 
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
-    return SimConfig(
-        m0=float(obj["m0"]),
-        spins=tuple(float(s) for s in obj["spins"]),
-        lambda0=float(obj.get("lambda0", 0.0)),
-        lambda1=float(obj.get("lambda1", 0.0)),
-        potential_u=_potential_u_from_obj(obj.get("potential_U")),
-        potential_spin=_potential_spin_from_obj(obj.get("potential_Lambda")),
-        x_init=tuple(float(x) for x in obj["x_init"]),
-        v_init=tuple(float(v) for v in obj["v_init"]),
-        dt=float(obj["dt"]),
-        steps=int(obj["steps"]),
-    )
+    try:
+        return SimConfig(
+            m0=float(obj["m0"]),
+            spins=tuple(float(s) for s in obj["spins"]),
+            lambda0=float(obj.get("lambda0", 0.0)),
+            lambda1=float(obj.get("lambda1", 0.0)),
+            potential_u=_potential_u_from_obj(obj.get("potential_U")),
+            potential_spin=_potential_spin_from_obj(obj.get("potential_Lambda")),
+            x_init=tuple(float(x) for x in obj["x_init"]),
+            v_init=tuple(float(v) for v in obj["v_init"]),
+            dt=float(obj["dt"]),
+            steps=int(obj["steps"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"not a hierwave simulation config: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"not a hierwave simulation config: {exc}") from None
 
 
 def load_sim_config(path: str) -> SimConfig:

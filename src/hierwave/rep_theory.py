@@ -3,7 +3,7 @@
 Irreps are labeled by spin j (stored as 2j, an exact integer), tensor
 products are decomposed by folding the pairwise coupling series with
 exact integer multiplicities, and Clebsch-Gordan coefficients are
-evaluated from the Racah closed-form sum with exact factorial arithmetic
+evaluated from Racah's formula as an exact integer closed-form sum
 (Condon-Shortley phase convention throughout).
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from math import sqrt
 
 
 class EmptyProductError(ValueError):
@@ -94,17 +94,18 @@ def couple_pair(j1: IrrepLabel, j2: IrrepLabel) -> IrrepSum:
 
 def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> IrrepSum:
     """Decompose a tensor product of irreps into irreducible blocks with
-    multiplicities, by left-folding the pairwise series."""
+    multiplicities, by left-folding the pairwise series over 2j integers."""
     if not factors:
         raise EmptyProductError("cannot decompose an empty tensor product")
-    counts: dict[IrrepLabel, int] = {factors[0]: 1}
+    counts = {factors[0].twice_j: 1}
     for factor in factors[1:]:
-        nxt: dict[IrrepLabel, int] = {}
-        for label, mult in counts.items():
-            for sub, _ in couple_pair(label, factor):
-                nxt[sub] = nxt.get(sub, 0) + mult
+        tf = factor.twice_j
+        nxt: dict[int, int] = {}
+        for tj, mult in counts.items():
+            for tJ in range(abs(tj - tf), tj + tf + 1, 2):
+                nxt[tJ] = nxt.get(tJ, 0) + mult
         counts = nxt
-    result = IrrepSum.from_counts(counts)
+    result = IrrepSum.from_counts({IrrepLabel(tj): mult for tj, mult in counts.items()})
     expected = 1
     for f in factors:
         expected *= f.dim
@@ -142,10 +143,14 @@ class CGQuery:
                 raise InvalidQueryError(f"{name}: parity mismatch (2j={tj}, 2m={tm})")
 
 
-def _fact2(twice: int) -> int:
-    # factorial of an integer handed over as its doubled value
-    assert twice % 2 == 0 and twice >= 0
-    return factorial(twice // 2)
+_FACT = [1]  # _FACT[n] == n!, extended on demand
+
+
+def _factorials(n: int) -> list[int]:
+    """The factorial table, long enough to index n."""
+    for i in range(len(_FACT), n + 1):
+        _FACT.append(_FACT[-1] * i)
+    return _FACT
 
 
 @lru_cache(maxsize=None)
@@ -157,44 +162,45 @@ def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float
     if (tj1 + tj2 + tJ) % 2 != 0:
         return 0.0
 
-    pref = Fraction(tJ + 1)
-    pref *= Fraction(
-        _fact2(tj1 + tj2 - tJ) * _fact2(tj1 - tj2 + tJ) * _fact2(-tj1 + tj2 + tJ),
-        _fact2(tj1 + tj2 + tJ + 2),
-    )
-    pref *= (
-        _fact2(tJ + tM)
-        * _fact2(tJ - tM)
-        * _fact2(tj1 - tm1)
-        * _fact2(tj1 + tm1)
-        * _fact2(tj2 - tm2)
-        * _fact2(tj2 + tm2)
-    )
-
-    k_min = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
-    k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
+    # Racah sum over k of (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!), times
+    # the common denominator D so that every term is an exact integer; the
+    # range is never empty for a query that passed CGQuery.validate.
+    a = (tj1 + tj2 - tJ) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    d = (tJ - tj2 + tm1) // 2
+    e = (tJ - tj1 - tm2) // 2
+    k_min = max(0, -d, -e)
+    k_max = min(a, b, c)
+    f = _factorials((tj1 + tj2 + tJ) // 2 + 1)
+    D = f[k_max] * f[a - k_min] * f[b - k_min] * f[c - k_min] * f[d + k_max] * f[e + k_max]
+    S = 0
     for k in range(k_min, k_max + 1):
-        denom = (
-            factorial(k)
-            * _fact2(tj1 + tj2 - tJ - 2 * k)
-            * _fact2(tj1 - tm1 - 2 * k)
-            * _fact2(tj2 + tm2 - 2 * k)
-            * _fact2(tJ - tj2 + tm1 + 2 * k)
-            * _fact2(tJ - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction(-1 if k % 2 else 1, denom)
-    if total == 0:
+        term = D // (f[k] * f[a - k] * f[b - k] * f[c - k] * f[d + k] * f[e + k])
+        S += -term if k % 2 else term
+    if S == 0:
         return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * sqrt(float(pref * total * total))
+
+    # (2J+1) * triangle coefficient * the six m factorials * S^2 / D^2, as one
+    # int ratio: int / int true division rounds correctly, like float(Fraction)
+    num = (
+        (tJ + 1)
+        * f[a] * f[(tj1 - tj2 + tJ) // 2] * f[(tj2 - tj1 + tJ) // 2]
+        * f[(tJ + tM) // 2] * f[(tJ - tM) // 2]
+        * f[b] * f[(tj1 + tm1) // 2]
+        * f[(tj2 - tm2) // 2] * f[c]
+        * S * S
+    )
+    den = f[(tj1 + tj2 + tJ) // 2 + 1] * D * D
+    value = sqrt(num / den)
+    return value if S > 0 else -value
 
 
 def clebsch_gordan(q: CGQuery) -> float:
     """Clebsch-Gordan coefficient <j1 m1 j2 m2 | J M>, Condon-Shortley phases.
 
     Returns 0 when M != m1+m2 or J lies outside the coupling series.
-    Exact rational sum; the float result is within ~1 ulp at any spin unless its square underflows.
+    Exact integer sum; the float result is within ~1 ulp at any spin unless its square underflows.
     """
     q.validate()
     return _cg_value(q.twice_j1, q.twice_m1, q.twice_j2, q.twice_m2, q.twice_J, q.twice_M)

@@ -240,10 +240,15 @@ def organism_to_obj(org: Organism) -> dict:
 
 
 def organism_from_obj(obj: dict) -> Organism:
-    return Organism(
-        target_irrep=IrrepLabel(parse_j(str(obj["target"]))),
-        components=tuple(_component_from_obj(c) for c in obj["components"]),
-    )
+    try:
+        return Organism(
+            target_irrep=IrrepLabel(parse_j(str(obj["target"]))),
+            components=tuple(_component_from_obj(c) for c in obj["components"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"not a hierwave scenario: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"not a hierwave scenario: {exc}") from None
 
 
 def load_organism(path: str) -> Organism:

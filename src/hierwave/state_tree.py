@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Iterable, Iterator, Union
 
 # symmetry-group tags; any other string is treated as a custom group
@@ -101,16 +102,30 @@ class NodeWave:
         return sum(abs(a) ** 2 for a in self.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierState:
     """Hierarchical state: this node's wave plus the states of its direct
-    components (children one level deeper)."""
+    components (children one level deeper).
+
+    Equality and hash go over the pre-order (wave, child count) sequence,
+    which fixes the tree, so they do not recurse and depth is unbounded."""
 
     wave: NodeWave
     children: tuple["HierState", ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
+
+    def _preorder(self) -> Iterator[tuple[NodeWave, int]]:
+        return ((node.wave, len(node.children)) for _, node in iter_nodes(self))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(p == q for p, q in zip_longest(self._preorder(), other._preorder()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
 
 
 @dataclass(frozen=True)
@@ -239,6 +254,8 @@ def _label_to_obj(label: BasisLabel) -> dict:
 
 
 def _label_from_obj(obj: dict) -> BasisLabel:
+    if not isinstance(obj, dict):
+        raise TypeError(f"basis label is not an object: {obj!r}")
     kind = obj.get("type")
     if kind == "spin":
         return SpinWeight(int(obj["twice_j"]), int(obj["twice_m"]))
@@ -300,6 +317,8 @@ def state_from_json(text: str) -> HierState:
         raise StateTooDeepError(_TOO_DEEP) from None
     except KeyError as exc:
         raise ValueError(f"not a hierwave state: a node lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"not a hierwave state: {exc}") from None
 
 
 def load_state(path: str) -> HierState:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
+from fractions import Fraction
+from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +27,15 @@ from hierwave.state_tree import (
 
 
 def weight_multiplicities(twice_js: list[int]) -> Counter:
-    """Brute-force count of product-basis weight vectors per total 2M."""
-    ranges = [range(-tj, tj + 1, 2) for tj in twice_js]
-    counts: Counter = Counter()
-    for combo in itertools.product(*ranges):
-        counts[sum(combo)] += 1
+    """Count of product-basis weight vectors per total 2M, adding one factor's
+    weights 2m = -2j, ..., 2j at a time (no coupling series involved)."""
+    counts: Counter = Counter({0: 1})
+    for tj in twice_js:
+        nxt: Counter = Counter()
+        for tM, n in counts.items():
+            for tm in range(-tj, tj + 1, 2):
+                nxt[tM + tm] += n
+        counts = nxt
     return counts
 
 
@@ -385,3 +390,54 @@ def decode_symbols(bits: Sequence[int]) -> list[int]:
     if len(out) != n:
         raise ValueError("run-length payload overshoots declared length")
     return out
+
+
+# Rational reference for hierwave.rep_theory._cg_value: the Racah sum in
+# Fraction arithmetic, which the integer sum must match bit for bit.
+
+
+def _fact2(twice: int) -> int:
+    # factorial of an integer handed over as its doubled value
+    assert twice % 2 == 0 and twice >= 0
+    return factorial(twice // 2)
+
+
+def fraction_cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    if tM != tm1 + tm2:
+        return 0.0
+    if not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
+        return 0.0
+    if (tj1 + tj2 + tJ) % 2 != 0:
+        return 0.0
+
+    pref = Fraction(tJ + 1)
+    pref *= Fraction(
+        _fact2(tj1 + tj2 - tJ) * _fact2(tj1 - tj2 + tJ) * _fact2(-tj1 + tj2 + tJ),
+        _fact2(tj1 + tj2 + tJ + 2),
+    )
+    pref *= (
+        _fact2(tJ + tM)
+        * _fact2(tJ - tM)
+        * _fact2(tj1 - tm1)
+        * _fact2(tj1 + tm1)
+        * _fact2(tj2 - tm2)
+        * _fact2(tj2 + tm2)
+    )
+
+    k_min = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
+    k_max = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for k in range(k_min, k_max + 1):
+        denom = (
+            factorial(k)
+            * _fact2(tj1 + tj2 - tJ - 2 * k)
+            * _fact2(tj1 - tm1 - 2 * k)
+            * _fact2(tj2 + tm2 - 2 * k)
+            * _fact2(tJ - tj2 + tm1 + 2 * k)
+            * _fact2(tJ - tj1 - tm2 + 2 * k)
+        )
+        total += Fraction(-1 if k % 2 else 1, denom)
+    if total == 0:
+        return 0.0
+    sign = 1.0 if total > 0 else -1.0
+    return sign * sqrt(float(pref * total * total))

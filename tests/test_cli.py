@@ -218,6 +218,40 @@ def test_non_state_file_is_named_domain_error(command, name, capsys):
     assert "not a hierwave state: a node lacks key 'level'" in err and "KeyError" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "pauli", "info"])
+@pytest.mark.parametrize("text", ["[1, 2]", '{"level": 0, "group": "SU2", "basis": ["x"], "amplitudes": [[1, 0]]}'])
+def test_non_object_state_file_is_named_domain_error(command, text, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert main([command, "--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ValueError: not a hierwave state: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["repair", "--scenario", data_path("two_spin_example.json"), "--remove", "0"],
+     "not a hierwave scenario: missing key 'target'"),
+    (["simulate", "--config", data_path("hydra.json")],
+     "not a hierwave simulation config: missing key 'm0'"),
+])
+def test_wrong_kind_input_file_is_named_domain_error(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "KeyError" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["repair", "--remove", "0", "--scenario"], "not a hierwave scenario: "),
+    (["simulate", "--config"], "not a hierwave simulation config: "),
+])
+def test_non_object_input_file_is_named_domain_error(argv, message, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text("[1, 2]")
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ValueError: " + message in err and "Traceback" not in err
+
+
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
 

@@ -17,7 +17,12 @@ from hierwave.rep_theory import (
     parse_j,
 )
 
-from helpers import cg_oracle_table, irrep_multiplicities_by_weights, weight_multiplicities
+from helpers import (
+    cg_oracle_table,
+    fraction_cg_value,
+    irrep_multiplicities_by_weights,
+    weight_multiplicities,
+)
 
 
 def J(text):
@@ -92,6 +97,13 @@ class TestDecomposeProduct:
             assert s.total_dim == expected_dim
             oracle = irrep_multiplicities_by_weights(tjs)
             assert {lab.twice_j: mult for lab, mult in s.entries} == oracle
+
+    def test_long_product_against_weight_counting(self):
+        rng = random.Random(250)
+        tjs = [rng.choice((1, 2, 3)) for _ in range(250)]
+        s = decompose_product([IrrepLabel(tj) for tj in tjs])
+        assert s.total_dim == math.prod(tj + 1 for tj in tjs)
+        assert {lab.twice_j: mult for lab, mult in s.entries} == irrep_multiplicities_by_weights(tjs)
 
 
 class TestContains:
@@ -180,3 +192,42 @@ class TestClebschGordan:
                 expected = float(exact_cg(*half).evalf(40))
                 got = clebsch_gordan(CGQuery(tj1, tm1, tj2, tm2, tJ, tM))
                 assert abs(got - expected) <= 1e-15, (tj1, tm1, tj2, tm2, tJ, tM)
+
+
+class TestIntegerRacahSum:
+    """The integer sum returns the very double of the Fraction reference."""
+
+    @pytest.mark.parametrize("tj1, tj2", [(10, 12), (7, 7)])
+    def test_every_table_entry_bit_identical(self, tj1, tj2):
+        zeros = 0
+        for tm1 in range(-tj1, tj1 + 1, 2):
+            for tm2 in range(-tj2, tj2 + 1, 2):
+                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    for tM in range(-tJ, tJ + 1, 2):
+                        q = (tj1, tm1, tj2, tm2, tJ, tM)
+                        got = clebsch_gordan(CGQuery(*q))
+                        assert got == fraction_cg_value(*q), q
+                        zeros += got == 0.0
+        assert zeros > 0
+
+    def test_random_queries_bit_identical(self):
+        rng = random.Random(2024)
+        zeros = nonzeros = 0
+        for i in range(2400):
+            tj1, tj2 = rng.randint(0, 200), rng.randint(0, 200)
+            if i % 4 == 0:  # integer spins at m = 0: the Racah sum vanishes when j1 + j2 + J is odd
+                tj1, tj2 = tj1 & ~1, tj2 & ~1
+                tm1 = tm2 = 0
+            else:
+                tm1 = rng.randrange(-tj1, tj1 + 1, 2)
+                tm2 = rng.randrange(-tj2, tj2 + 1, 2)
+            tM = tm1 + tm2
+            tJ = rng.randrange(max(abs(tj1 - tj2), abs(tM)), tj1 + tj2 + 1, 2)
+            if i % 8 == 1:  # weight selection rule: M != m1 + m2
+                tM = rng.randrange(-tJ, tJ + 1, 2)
+            q = (tj1, tm1, tj2, tm2, tJ, tM)
+            got = clebsch_gordan(CGQuery(*q))
+            assert got == fraction_cg_value(*q), q
+            zeros += got == 0.0
+            nonzeros += got != 0.0
+        assert zeros > 300 and nonzeros > 1500

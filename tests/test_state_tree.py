@@ -271,13 +271,19 @@ class TestDepth:
             state_from_obj(obj)
 
     def test_chain_near_the_json_limit_round_trips_through_files(self, tmp_path):
-        # 450 levels leaves room for the test runner's own frames; waves are
-        # compared node by node because == on HierState recurses
+        # 450 levels leaves room for the test runner's own frames
         path = tmp_path / "state.json"
         psi = chain_state(450)
         save_state(psi, str(path))
-        again = load_state(str(path))
-        assert [n.wave for _, n in iter_nodes(again)] == [n.wave for _, n in iter_nodes(psi)]
+        assert load_state(str(path)) == psi
+
+    def test_equality_and_hash_on_depth_ten_thousand_chains(self):
+        depth = 10**4
+        psi, same = chain_state(depth), chain_state(depth)
+        assert psi == same and hash(psi) == hash(same)
+        assert psi != chain_state(depth - 1) and psi != chain_state(depth, n_leaves=2)
+        assert psi != scalar_mul(2, psi) and psi != psi.wave
+        assert len({psi, same}) == 1
 
     def test_save_deep_state_keeps_existing_file(self, tmp_path):
         path = tmp_path / "state.json"
