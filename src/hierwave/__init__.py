@@ -21,7 +21,6 @@ from .rep_theory import (
     IrrepLabel,
     IrrepSum,
     clebsch_gordan,
-    contains,
     couple_pair,
     decompose_product,
 )

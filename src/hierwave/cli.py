@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import complexity, dynamics, physicality, repair_cascade, rep_theory, state_tree
@@ -179,10 +180,13 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     values = []
     with open(args.series, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                values.append(float(line))
+                value = float(line)
+                if not math.isfinite(value):
+                    raise ValueError(f"{args.series}:{lineno}: value {line!r} is not finite")
+                values.append(value)
     series = complexity.MatrixElementSeries(values=tuple(values), quantization=args.quantization)
     report = complexity.classify(series, threshold=args.threshold)
     print(json.dumps({
@@ -212,7 +216,7 @@ def cmd_info(args) -> int:
     return 0 if not problems else 1
 
 
-_DOMAIN_ERRORS = (ValueError, RuntimeError, OSError, json.JSONDecodeError, KeyError)
+_DOMAIN_ERRORS = (ValueError, RuntimeError, OSError, KeyError)
 
 
 def main(argv=None) -> int:

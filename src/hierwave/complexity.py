@@ -44,8 +44,10 @@ class MatrixElementSeries:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("series must be non-empty")
-        if self.quantization <= 0:
-            raise ValueError("quantization must be positive")
+        if not 0 < self.quantization < math.inf:
+            raise ValueError(
+                f"quantization must be positive and finite, got {self.quantization!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,14 @@ class ComplexityReport:
 
 
 def symbolize(series: MatrixElementSeries) -> list[int]:
-    """Map each value to floor(value / quantization)."""
+    """Map each value to floor(value / quantization); a value whose quotient
+    is not finite raises ValueError naming its 1-based position."""
     q = series.quantization
-    return [math.floor(v / q) for v in series.values]
+    try:
+        return [math.floor(v / q) for v in series.values]
+    except (OverflowError, ValueError):
+        i, v = next((i, v) for i, v in enumerate(series.values, 1) if not math.isfinite(v / q))
+        raise ValueError(f"value {i} is {v!r}: {v!r} / {q!r} is not finite") from None
 
 
 def _zigzag(s: int) -> int:

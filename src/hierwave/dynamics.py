@@ -70,6 +70,21 @@ class SimConfig:
         object.__setattr__(self, "spins", tuple(float(s) for s in self.spins))
         object.__setattr__(self, "x_init", tuple(float(x) for x in self.x_init))
         object.__setattr__(self, "v_init", tuple(float(v) for v in self.v_init))
+        finite = [
+            ("m0", self.m0), ("lambda0", self.lambda0), ("lambda1", self.lambda1), ("dt", self.dt),
+            *(("x_init", x) for x in self.x_init), *(("v_init", v) for v in self.v_init),
+        ]
+        if self.potential_u is not None:
+            finite.append(("potential_U k", self.potential_u.k))
+        if self.potential_spin is not None:
+            finite.append(("potential_Lambda kappa", self.potential_spin.kappa))
+        for name, value in finite:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(self.steps, float) and self.steps.is_integer():
+            object.__setattr__(self, "steps", int(self.steps))
+        if not isinstance(self.steps, int):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.m0 <= 0:
             raise ValueError("m0 must be positive")
         if self.dt <= 0:
@@ -310,20 +325,31 @@ def max_energy_drift(traj: Trajectory) -> float:
 # --- JSON config files --------------------------------------------------------
 
 
+def _potential_type(obj, key: str) -> str:
+    """The "type" of a potential object; JSON null means "none"."""
+    if obj is None:
+        return "none"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{key} must be an object or null, got {obj!r}")
+    return obj.get("type", "none")
+
+
 def _potential_u_from_obj(obj) -> HarmonicPotential | None:
-    if obj is None or obj.get("type", "none") == "none":
+    kind = _potential_type(obj, "potential_U")
+    if kind == "none":
         return None
-    if obj["type"] == "harmonic":
+    if kind == "harmonic":
         return HarmonicPotential(k=float(obj["k"]))
-    raise ValueError(f"unknown position potential type {obj['type']!r}")
+    raise ValueError(f"unknown position potential type {kind!r}")
 
 
 def _potential_spin_from_obj(obj) -> LinearSpinCoupling | None:
-    if obj is None or obj.get("type", "none") == "none":
+    kind = _potential_type(obj, "potential_Lambda")
+    if kind == "none":
         return None
-    if obj["type"] == "linear":
+    if kind == "linear":
         return LinearSpinCoupling(kappa=float(obj["kappa"]))
-    raise ValueError(f"unknown spin coupling type {obj['type']!r}")
+    raise ValueError(f"unknown spin coupling type {kind!r}")
 
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
@@ -338,11 +364,11 @@ def sim_config_from_obj(obj: dict) -> SimConfig:
             x_init=tuple(float(x) for x in obj["x_init"]),
             v_init=tuple(float(v) for v in obj["v_init"]),
             dt=float(obj["dt"]),
-            steps=int(obj["steps"]),
+            steps=obj["steps"],
         )
     except KeyError as exc:
         raise ValueError(f"not a hierwave simulation config: missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"not a hierwave simulation config: {exc}") from None
 
 

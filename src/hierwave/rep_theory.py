@@ -85,11 +85,7 @@ class IrrepSum:
 
 def couple_pair(j1: IrrepLabel, j2: IrrepLabel) -> IrrepSum:
     """Coupling series of two irreps: J = |j1-j2| ... j1+j2, each once."""
-    counts = {
-        IrrepLabel(tj): 1
-        for tj in range(abs(j1.twice_j - j2.twice_j), j1.twice_j + j2.twice_j + 1, 2)
-    }
-    return IrrepSum.from_counts(counts)
+    return decompose_product([j1, j2])
 
 
 def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> IrrepSum:
@@ -111,11 +107,6 @@ def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> Irr
         expected *= f.dim
     assert result.total_dim == expected, "dimension bookkeeping error"
     return result
-
-
-def contains(irrep_sum: IrrepSum, target: IrrepLabel) -> int:
-    """Multiplicity of target inside the sum (0 if absent)."""
-    return irrep_sum.multiplicity(target)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .rep_theory import IrrepLabel, IrrepSum, contains, decompose_product, format_j, parse_j
+from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
 
 class EmptyRemainderError(ValueError):
@@ -39,7 +39,7 @@ class ComponentSpec:
         problems: list[str] = []
         if self.subcomponents:
             product = decompose_product([c.irrep for c in self.subcomponents])
-            if contains(product, self.irrep) < 1:
+            if product.multiplicity(self.irrep) < 1:
                 problems.append(
                     f"{here}: irrep {self.irrep} not contained in subcomponent product {product}"
                 )
@@ -62,7 +62,7 @@ class Organism:
             problems.append("organism has no components")
         else:
             product = decompose_product([c.irrep for c in self.components])
-            if contains(product, self.target_irrep) < 1:
+            if product.multiplicity(self.target_irrep) < 1:
                 problems.append(
                     f"intact component product {product} does not contain target {self.target_irrep}"
                 )
@@ -125,7 +125,7 @@ def amputate(org: Organism, gamma: RemovalAction) -> Remainder:
     return Remainder(
         target_irrep=org.target_irrep,
         components=remaining,
-        complete=contains(product, org.target_irrep) >= 1,
+        complete=product.multiplicity(org.target_irrep) >= 1,
     )
 
 
@@ -145,7 +145,7 @@ def repair(remainder: Remainder, max_depth: int) -> CascadeResult:
     depth = 0
     while True:
         product = decompose_product([c.irrep for c in comps])
-        mult = contains(product, remainder.target_irrep)
+        mult = product.multiplicity(remainder.target_irrep)
         steps.append(
             CascadeStep(
                 depth=depth,
@@ -206,7 +206,7 @@ def ionize_recombine(
     restored = Remainder(
         target_irrep=atom.target_irrep,
         components=restored_components,
-        complete=contains(product, atom.target_irrep) >= 1,
+        complete=product.multiplicity(atom.target_irrep) >= 1,
     )
     return broken, restored
 

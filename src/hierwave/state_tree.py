@@ -11,8 +11,7 @@ children; those objects live in different spaces.
 from __future__ import annotations
 
 import json
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, Union
 
@@ -116,16 +115,13 @@ class HierState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
 
-    def _preorder(self) -> Iterator[tuple[NodeWave, int]]:
-        return ((node.wave, len(node.children)) for _, node in iter_nodes(self))
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(p == q for p, q in zip_longest(self._preorder(), other._preorder()))
+        return all(p == q for p, q in zip_longest(_preorder(self), _preorder(other)))
 
     def __hash__(self) -> int:
-        return hash(tuple(self._preorder()))
+        return hash(tuple(_preorder(self)))
 
 
 @dataclass(frozen=True)
@@ -134,14 +130,26 @@ class Violation:
     message: str
 
 
-def iter_nodes(psi: HierState, path: str = "root") -> Iterator[tuple[str, HierState]]:
+def iter_nodes(psi: HierState) -> Iterator[tuple[str, HierState]]:
     """Pre-order traversal yielding (path, node); children are addressed by
-    index, e.g. "root.0.1".  Iterative, so depth is unbounded."""
-    stack = [(path, psi)]
+    index, e.g. "root.0.1".  Iterative, so depth is unbounded.  Each path is
+    O(depth) characters long, so keeping the paths of a depth-d chain takes
+    O(d^2) characters."""
+    stack = [("root", psi)]
     while stack:
         path, node = stack.pop()
         yield path, node
         stack.extend(reversed([(f"{path}.{i}", c) for i, c in enumerate(node.children)]))
+
+
+def _preorder(psi: HierState) -> Iterator[tuple[NodeWave, int]]:
+    """The pre-order (wave, child count) sequence, which fixes the tree; the
+    walk behind the operations that report no paths."""
+    stack = [psi]
+    while stack:
+        node = stack.pop()
+        yield node.wave, len(node.children)
+        stack.extend(reversed(node.children))
 
 
 def _assemble(pairs: Iterable[tuple[NodeWave, int]]) -> HierState:
@@ -153,26 +161,19 @@ def _assemble(pairs: Iterable[tuple[NodeWave, int]]) -> HierState:
     return stack[0]
 
 
-def dominant_index(wave: NodeWave) -> int:
-    """Index of the largest-|amplitude| basis label; ties go to the lowest index."""
+def dominant_label(wave: NodeWave) -> BasisLabel:
+    """Basis label of the largest-|amplitude| entry; ties go to the lowest index."""
     if not wave.amplitudes:
         raise ValueError("node has no amplitudes")
-    best = 0
-    for i, a in enumerate(wave.amplitudes):
-        if abs(a) > abs(wave.amplitudes[best]):
-            best = i
-    return best
-
-
-def dominant_label(wave: NodeWave) -> BasisLabel:
-    return wave.level.basis[dominant_index(wave)]
+    mags = [abs(a) for a in wave.amplitudes]
+    return wave.level.basis[mags.index(max(mags))]
 
 
 def scalar_mul(a: complex, psi: HierState) -> HierState:
     """Multiply every amplitude at every node by a; tree shape is preserved."""
     return _assemble(
-        (replace(n.wave, amplitudes=tuple(a * x for x in n.wave.amplitudes)), len(n.children))
-        for _, n in iter_nodes(psi)
+        (NodeWave(w.level, tuple(a * x for x in w.amplitudes), w.statistics, w.quantum_numbers), n)
+        for w, n in _preorder(psi)
     )
 
 
@@ -180,8 +181,7 @@ def congruent(phi: HierState, psi: HierState) -> bool:
     """True iff the trees have identical shape, level indices, group tags and
     bases node by node."""
     return all(
-        p.wave.level == q.wave.level and len(p.children) == len(q.children)
-        for (_, p), (_, q) in zip(iter_nodes(phi), iter_nodes(psi))
+        p.level == q.level and m == n for (p, m), (q, n) in zip(_preorder(phi), _preorder(psi))
     )
 
 
@@ -190,9 +190,9 @@ def add(phi: HierState, psi: HierState) -> HierState:
     if not congruent(phi, psi):
         raise ShapeMismatchError("cannot add non-congruent hierarchical states")
     return _assemble(
-        (replace(p.wave, amplitudes=tuple(map(operator.add, p.wave.amplitudes, q.wave.amplitudes))),
-         len(p.children))
-        for (_, p), (_, q) in zip(iter_nodes(phi), iter_nodes(psi))
+        (NodeWave(p.level, tuple(x + y for x, y in zip(p.amplitudes, q.amplitudes)),
+                  p.statistics, p.quantum_numbers), n)
+        for (p, n), (q, _) in zip(_preorder(phi), _preorder(psi))
     )
 
 

@@ -200,6 +200,39 @@ def reference_pauli_check(psi: HierState, scope: int) -> list[PauliViolation]:
     return violations
 
 
+def reference_scalar_mul(a: complex, psi: HierState) -> HierState:
+    """scalar_mul by plain recursion."""
+    w = psi.wave
+    wave = NodeWave(w.level, tuple(a * x for x in w.amplitudes), w.statistics, w.quantum_numbers)
+    return HierState(wave, tuple(reference_scalar_mul(a, c) for c in psi.children))
+
+
+def reference_add(phi: HierState, psi: HierState) -> HierState:
+    """add of two congruent trees by plain recursion."""
+    p, q = phi.wave, psi.wave
+    wave = NodeWave(p.level, tuple(x + y for x, y in zip(p.amplitudes, q.amplitudes)),
+                    p.statistics, p.quantum_numbers)
+    return HierState(wave, tuple(reference_add(a, b) for a, b in zip(phi.children, psi.children)))
+
+
+def reference_congruent(phi: HierState, psi: HierState) -> bool:
+    """congruent by plain recursion."""
+    return (
+        phi.wave.level == psi.wave.level
+        and len(phi.children) == len(psi.children)
+        and all(reference_congruent(a, b) for a, b in zip(phi.children, psi.children))
+    )
+
+
+def reference_equal(phi: HierState, psi: HierState) -> bool:
+    """Tree equality by plain recursion: equal waves and equal child lists."""
+    return (
+        phi.wave == psi.wave
+        and len(phi.children) == len(psi.children)
+        and all(reference_equal(a, b) for a, b in zip(phi.children, psi.children))
+    )
+
+
 def chain_state(depth: int, n_leaves: int = 1) -> HierState:
     """A chain of spin-1/2 nodes at levels 0..depth-1 whose last node has
     ``n_leaves`` identical fermionic spin-1/2 leaves at level ``depth``;

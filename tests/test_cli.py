@@ -252,6 +252,57 @@ def test_non_object_input_file_is_named_domain_error(argv, message, tmp_path, ca
     assert "error: ValueError: " + message in err and "Traceback" not in err
 
 
+def _harmonic_config(tmp_path, **changes):
+    cfg = json.loads((DATA / "harmonic_benchmark.json").read_text())
+    cfg.update({"steps": 10, **changes})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"potential_U": "harmonic"}, "potential_U must be an object or null, got 'harmonic'"),
+    ({"potential_Lambda": [1]}, "potential_Lambda must be an object or null, got [1]"),
+    ({"m0": math.nan}, "m0 must be finite, got nan"),
+    ({"lambda0": math.inf}, "lambda0 must be finite, got inf"),
+    ({"lambda1": -math.inf}, "lambda1 must be finite, got -inf"),
+    ({"dt": math.nan}, "dt must be finite, got nan"),
+    ({"x_init": [math.nan, 0.5]}, "x_init must be finite, got nan"),
+    ({"v_init": [0.0, math.inf]}, "v_init must be finite, got inf"),
+    ({"potential_U": {"type": "harmonic", "k": math.inf}}, "potential_U k must be finite, got inf"),
+    ({"potential_Lambda": {"type": "linear", "kappa": math.nan}},
+     "potential_Lambda kappa must be finite, got nan"),
+    ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+    ({"steps": math.inf}, "steps must be an integer, got inf"),
+    ({"m0": 10**400}, "not a hierwave simulation config: int too large to convert to float"),
+])
+def test_bad_simulation_config_is_named_domain_error(changes, message, tmp_path, capsys):
+    assert main(["simulate", "--config", _harmonic_config(tmp_path, **changes)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {message}\n" and captured.out == ""
+
+
+def test_integral_float_steps_accepted(tmp_path, capsys):
+    assert main(["simulate", "--config", _harmonic_config(tmp_path, steps=10.0)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12  # header + initial sample + 10 steps
+
+
+@pytest.mark.parametrize("lines, quantization, message", [
+    (["0.5", "", "inf"], "0.1", "s.csv:3: value 'inf' is not finite"),
+    (["nan", "0.5"], "0.1", "s.csv:1: value 'nan' is not finite"),
+    (["0.25", "0.5"], "1e-320", "value 1 is 0.25: 0.25 / 1e-320 is not finite"),
+    (["0.25", "0.5"], "inf", "quantization must be positive and finite, got inf"),
+    (["0.25", "0.5"], "nan", "quantization must be positive and finite, got nan"),
+])
+def test_non_finite_classify_value_is_named_domain_error(lines, quantization, message, tmp_path,
+                                                         capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["classify", "--series", str(path), "--quantization", quantization]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.rstrip().endswith(message)
+
+
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
 

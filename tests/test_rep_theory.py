@@ -10,7 +10,6 @@ from hierwave.rep_theory import (
     IrrepLabel,
     IrrepSum,
     clebsch_gordan,
-    contains,
     couple_pair,
     decompose_product,
     format_j,
@@ -109,15 +108,15 @@ class TestDecomposeProduct:
 class TestContains:
     def test_present(self):
         s = decompose_product([J("1/2"), J("1/2")])
-        assert contains(s, J("1")) == 1
+        assert s.multiplicity(J("1")) == 1
 
     def test_absent(self):
         s = decompose_product([J("1/2"), J("1/2")])
-        assert contains(s, J("3/2")) == 0
+        assert s.multiplicity(J("3/2")) == 0
 
     def test_multiplicity_two(self):
         s = decompose_product([J("1/2")] * 3)
-        assert contains(s, J("1/2")) == 2
+        assert s.multiplicity(J("1/2")) == 2
 
 
 class TestClebschGordan:

@@ -1,6 +1,6 @@
 import pytest
 
-from hierwave.rep_theory import IrrepLabel, contains, decompose_product
+from hierwave.rep_theory import IrrepLabel, decompose_product
 from hierwave.repair_cascade import (
     ComponentSpec,
     EmptyRemainderError,
@@ -89,7 +89,7 @@ class TestRepair:
         assert result.levels_descended == 1
         assert result.cost == 2
         # independent witness check
-        assert contains(decompose_product(list(result.witness_irreps)), ZERO) >= 1
+        assert decompose_product(list(result.witness_irreps)).multiplicity(ZERO) >= 1
 
     def test_depth_zero_guard(self):
         org = Organism(
@@ -119,7 +119,7 @@ class TestRepair:
         result = repair(rem, max_depth=2)
         if result.feasible:
             product = decompose_product(list(result.witness_irreps))
-            assert contains(product, org.target_irrep) >= 1
+            assert product.multiplicity(org.target_irrep) >= 1
 
     def test_cost_monotone_in_depth(self):
         org = Organism(
@@ -172,7 +172,7 @@ class TestIonizeRecombine:
         org = singlet_of_four_halves()
         _, restored = ionize_recombine(org, electron_index=2)
         product = decompose_product([c.irrep for c in org.components])
-        intact_complete = contains(product, org.target_irrep) >= 1
+        intact_complete = product.multiplicity(org.target_irrep) >= 1
         assert restored.complete == intact_complete
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from hierwave.state_tree import (
     StateTooDeepError,
     SU2,
     TRANSLATION_1D,
+    UNSPECIFIED,
     add,
     congruent,
     dominant_label,
@@ -31,7 +33,17 @@ from hierwave.state_tree import (
 )
 from hierwave.physicality import check_node, pauli_check
 
-from helpers import amplitudes_close, chain_state, chain_state_json, fill_shape, random_shape
+from helpers import (
+    amplitudes_close,
+    chain_state,
+    chain_state_json,
+    fill_shape,
+    random_shape,
+    reference_add,
+    reference_congruent,
+    reference_equal,
+    reference_scalar_mul,
+)
 
 
 def leaf(level_index=0, amps=(1.0,), n_basis=None, **kw):
@@ -199,6 +211,79 @@ class TestVectorSpaceAxioms:
         assert congruent(scalar_mul(3j, phi), phi)
 
 
+def _random_pair(rng):
+    """Two congruent trees on one random shape (depth <= 5, mixed groups) with
+    independent random amplitudes, statistics and quantum numbers."""
+    labels = (SpinWeight(1, 1), SpinWeight(1, -1), Named("x"), Point(3))
+
+    def shape(level_index, max_depth):
+        level = HierarchyLevel(level_index, rng.choice((SU2, TRANSLATION_1D)),
+                               labels[: rng.randint(1, 4)])
+        n = rng.randint(0, 3) if level_index < max_depth else 0
+        return level, [shape(level_index + 1, max_depth) for _ in range(n)]
+
+    def fill(s):
+        level, children = s
+        wave = NodeWave(
+            level,
+            tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in level.basis),
+            rng.choice((FERMION, BOSON, UNSPECIFIED)),
+            rng.choice((None, (1, 0), (2, 0, 1))),
+        )
+        return HierState(wave, tuple(fill(c) for c in children))
+
+    s = shape(0, rng.randint(0, 5))
+    return fill(s), fill(s)
+
+
+def _with_last_node(psi, change):
+    """psi with change applied to its last node in pre-order."""
+    if not psi.children:
+        return change(psi)
+    return HierState(psi.wave, psi.children[:-1] + (_with_last_node(psi.children[-1], change),))
+
+
+def _relevel(node, **changes):
+    wave = node.wave
+    return HierState(replace(wave, level=replace(wave.level, **changes)), node.children)
+
+
+_LAST_NODE_CHANGES = {
+    "extra child": lambda n: HierState(n.wave, (leaf(n.wave.level.level_index + 1),)),
+    "level index": lambda n: _relevel(n, level_index=n.wave.level.level_index + 1),
+    "basis": lambda n: _relevel(n, basis=n.wave.level.basis[:-1] + (Named("other"),)),
+}
+
+
+class TestOperationsAgainstRecursiveReference:
+    def test_randomized_trees(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            phi, psi = _random_pair(rng)
+            for a in (-1, 2j, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))):
+                assert repr(scalar_mul(a, psi)) == repr(reference_scalar_mul(a, psi)), seed
+            assert repr(add(phi, psi)) == repr(reference_add(phi, psi)), seed
+            assert congruent(phi, psi) and reference_congruent(phi, psi)
+            copy = state_from_json(state_to_json(psi))
+            assert reference_equal(psi, copy) and psi == copy and hash(psi) == hash(copy)
+            assert (phi == psi) == reference_equal(phi, psi)
+
+    def test_trees_differing_only_at_the_last_preorder_node(self):
+        for seed in range(200):
+            phi, psi = _random_pair(random.Random(seed))
+            for name, change in _LAST_NODE_CHANGES.items():
+                bad = _with_last_node(phi, change)
+                assert not reference_congruent(bad, psi), (seed, name)
+                assert not congruent(bad, psi) and not congruent(psi, bad), (seed, name)
+                with pytest.raises(ShapeMismatchError):
+                    add(bad, psi)
+                with pytest.raises(ShapeMismatchError):
+                    add(psi, bad)
+                assert not reference_equal(bad, phi) and bad != phi and phi != bad
+                again = _with_last_node(phi, change)
+                assert bad == again and hash(bad) == hash(again)
+
+
 class TestSerialization:
     def test_round_trip_lossless(self):
         level = HierarchyLevel(
@@ -297,3 +382,7 @@ def test_dominant_label_tie_breaks_low_index():
     level = HierarchyLevel(0, SU2, (Named("a"), Named("b")))
     wave = NodeWave(level, (0.5, 0.5))
     assert dominant_label(wave) == Named("a")
+    level = HierarchyLevel(0, SU2, (Named("a"), Named("b"), Named("c")))
+    assert dominant_label(NodeWave(level, (0.25, 0.5, -0.5))) == Named("b")
+    level = HierarchyLevel(0, SU2, (Named("a"), Named("b"), Named("c"), Named("d")))
+    assert dominant_label(NodeWave(level, (1, 3 + 4j, 5, -5j))) == Named("b")
