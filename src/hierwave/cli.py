@@ -183,7 +183,11 @@ def cmd_classify(args) -> int:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                value = float(line)
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise ValueError(
+                        f"{args.series}:{lineno}: value {line!r} is not a number") from None
                 if not math.isfinite(value):
                     raise ValueError(f"{args.series}:{lineno}: value {line!r} is not finite")
                 values.append(value)
@@ -216,7 +220,7 @@ def cmd_info(args) -> int:
     return 0 if not problems else 1
 
 
-_DOMAIN_ERRORS = (ValueError, RuntimeError, OSError, KeyError)
+_DOMAIN_ERRORS = (ValueError, RuntimeError, OSError)
 
 
 def main(argv=None) -> int:

@@ -18,11 +18,20 @@ lengths without building the stream):
 
 The dictionary order makes the body invariant under symbol relabeling:
 a permutation only changes the dictionary header.
+
+No move-to-front list is kept.  The move-to-front position of a symbol
+equals its recency rank, the number of distinct symbols seen since its
+last occurrence (Elias, IEEE Trans. IT 33(1), 1987; Bentley, Sleator,
+Tarjan & Wei, CACM 29(4), 1986).  The coder keeps the symbols'
+last-occurrence times in one sorted list and finds each rank by
+bisection: O(log K) per symbol plus a C memmove of the list, instead of
+an O(K) scan of the move-to-front list.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -80,34 +89,53 @@ def _gamma_len(n: int) -> int:
 
 
 def _first_appearance(symbols: Sequence[int]) -> list[int]:
-    seen: dict[int, None] = {}
-    for s in symbols:
-        seen.setdefault(s)
-    return list(seen)
+    return list(dict.fromkeys(symbols))
+
+
+def _header_bits(order: list[int]) -> int:
+    return _gamma_len(len(order)) + sum(_gamma_len(_zigzag(s) + 1) for s in order)
 
 
 def dictionary_header_bits(symbols: Sequence[int]) -> int:
     """Size of the gamma-coded dictionary part of the stream."""
-    order = _first_appearance(symbols)
-    return _gamma_len(len(order)) + sum(_gamma_len(_zigzag(s) + 1) for s in order)
+    return _header_bits(_first_appearance(symbols))
 
 
 def description_length(symbols: Sequence[int]) -> int:
     """Compressed size in bits under the pinned-down coder, counted code by
-    code without building the stream."""
+    code without building the stream.
+
+    The move-to-front position of a symbol is its recency rank: the number
+    of distinct symbols seen since its last occurrence.  `times` holds every
+    symbol's last-occurrence time in sorted order, so that rank is K - 1
+    minus the bisection index of the symbol's own time: O(log K) to find,
+    plus a C memmove of `times` to move the symbol to the end.  Virtual
+    times -1, -2, ..., -K for the dictionary order reproduce the initial
+    move-to-front list.  A repeated symbol is already at position 0 and
+    leaves the order unchanged, so it skips the update.
+    """
     if not symbols:
         raise ValueError("cannot encode an empty symbol sequence")
-    bits = dictionary_header_bits(symbols) + _gamma_len(len(symbols))
-    index = {s: i for i, s in enumerate(_first_appearance(symbols))}
-    mtf = list(range(len(index)))
+    order = _first_appearance(symbols)
+    k = len(order)
+    bits = _header_bits(order) + _gamma_len(len(symbols))
+    last = {s: -1 - i for i, s in enumerate(order)}
+    times = list(range(-k, 0))
+    top = k - 1  # the index in `times` of MTF position 0
+    prev = order[0]
     # the first symbol always sits at MTF position 0, so the first run
     # starts there
     run_val, run_len = 0, 0
-    for s in symbols:
-        i = index[s]
-        pos = mtf.index(i)
-        del mtf[pos]
-        mtf.insert(0, i)
+    for t, s in enumerate(symbols):
+        if s == prev:
+            pos = 0
+        else:
+            i = bisect_left(times, last[s])
+            del times[i]
+            times.append(t)
+            last[s] = t
+            prev = s
+            pos = top - i
         if pos == run_val:
             run_len += 1
         else:

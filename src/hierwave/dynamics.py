@@ -83,7 +83,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.steps, float) and self.steps.is_integer():
             object.__setattr__(self, "steps", int(self.steps))
-        if not isinstance(self.steps, int):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.m0 <= 0:
             raise ValueError("m0 must be positive")
@@ -325,6 +325,23 @@ def max_energy_drift(traj: Trajectory) -> float:
 # --- JSON config files --------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, key: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 def _potential_type(obj, key: str) -> str:
     """The "type" of a potential object; JSON null means "none"."""
     if obj is None:
@@ -339,7 +356,7 @@ def _potential_u_from_obj(obj) -> HarmonicPotential | None:
     if kind == "none":
         return None
     if kind == "harmonic":
-        return HarmonicPotential(k=float(obj["k"]))
+        return HarmonicPotential(k=_number(obj["k"], "potential_U k"))
     raise ValueError(f"unknown position potential type {kind!r}")
 
 
@@ -348,22 +365,22 @@ def _potential_spin_from_obj(obj) -> LinearSpinCoupling | None:
     if kind == "none":
         return None
     if kind == "linear":
-        return LinearSpinCoupling(kappa=float(obj["kappa"]))
+        return LinearSpinCoupling(kappa=_number(obj["kappa"], "potential_Lambda kappa"))
     raise ValueError(f"unknown spin coupling type {kind!r}")
 
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
     try:
         return SimConfig(
-            m0=float(obj["m0"]),
-            spins=tuple(float(s) for s in obj["spins"]),
-            lambda0=float(obj.get("lambda0", 0.0)),
-            lambda1=float(obj.get("lambda1", 0.0)),
+            m0=_number(obj["m0"], "m0"),
+            spins=_numbers(obj["spins"], "spins"),
+            lambda0=_number(obj.get("lambda0", 0.0), "lambda0"),
+            lambda1=_number(obj.get("lambda1", 0.0), "lambda1"),
             potential_u=_potential_u_from_obj(obj.get("potential_U")),
             potential_spin=_potential_spin_from_obj(obj.get("potential_Lambda")),
-            x_init=tuple(float(x) for x in obj["x_init"]),
-            v_init=tuple(float(v) for v in obj["v_init"]),
-            dt=float(obj["dt"]),
+            x_init=_numbers(obj["x_init"], "x_init"),
+            v_init=_numbers(obj["v_init"], "v_init"),
+            dt=_number(obj["dt"], "dt"),
             steps=obj["steps"],
         )
     except KeyError as exc:

@@ -30,9 +30,13 @@ def format_j(twice_j: int) -> str:
 
 def parse_j(text: str) -> int:
     """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value."""
-    twice = 2 * Fraction(text.strip())
+    message = f"not a valid non-negative (half-)integer spin: {text!r}"
+    try:
+        twice = 2 * Fraction(text.strip())
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(message) from None
     if twice.denominator != 1 or twice < 0:
-        raise ValueError(f"not a valid non-negative (half-)integer spin: {text!r}")
+        raise ValueError(message)
     return int(twice)
 
 

@@ -253,14 +253,24 @@ def _label_to_obj(label: BasisLabel) -> dict:
     raise TypeError(f"unknown basis label {label!r}")
 
 
+def _integer(obj: dict, key: str) -> int:
+    """obj[key] as an int; JSON integers and integral floats only."""
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _label_from_obj(obj: dict) -> BasisLabel:
     if not isinstance(obj, dict):
         raise TypeError(f"basis label is not an object: {obj!r}")
     kind = obj.get("type")
     if kind == "spin":
-        return SpinWeight(int(obj["twice_j"]), int(obj["twice_m"]))
+        return SpinWeight(_integer(obj, "twice_j"), _integer(obj, "twice_m"))
     if kind == "point":
-        return Point(int(obj["index"]))
+        return Point(_integer(obj, "index"))
     if kind == "named":
         return Named(str(obj["text"]))
     raise ValueError(f"unknown basis label type {kind!r}")
@@ -286,7 +296,7 @@ def state_to_obj(psi: HierState) -> dict:
 
 def state_from_obj(obj: dict) -> HierState:
     level = HierarchyLevel(
-        level_index=int(obj["level"]),
+        level_index=_integer(obj, "level"),
         group=str(obj["group"]),
         basis=tuple(_label_from_obj(b) for b in obj["basis"]),
     )

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from hierwave.complexity import _first_appearance, _zigzag
+from hierwave.complexity import _first_appearance, _gamma_len, _zigzag, dictionary_header_bits
 from hierwave.dynamics import SimConfig, momentum
 from hierwave.physicality import PauliViolation
 from hierwave.state_tree import (
@@ -395,6 +395,30 @@ def encode_symbols(symbols: Sequence[int]) -> list[int]:
     bits.extend(_gamma_bits(run_val + 1))
     bits.extend(_gamma_bits(run_len))
     return bits
+
+
+def scan_description_length(symbols: Sequence[int]) -> int:
+    """The coder's bit count with an explicit move-to-front list, found by
+    an O(K) scan per symbol."""
+    if not symbols:
+        raise ValueError("cannot encode an empty symbol sequence")
+    bits = dictionary_header_bits(symbols) + _gamma_len(len(symbols))
+    index = {s: i for i, s in enumerate(_first_appearance(symbols))}
+    mtf = list(range(len(index)))
+    # the first symbol always sits at MTF position 0, so the first run
+    # starts there
+    run_val, run_len = 0, 0
+    for s in symbols:
+        i = index[s]
+        pos = mtf.index(i)
+        del mtf[pos]
+        mtf.insert(0, i)
+        if pos == run_val:
+            run_len += 1
+        else:
+            bits += _gamma_len(run_val + 1) + _gamma_len(run_len)
+            run_val, run_len = pos, 1
+    return bits + _gamma_len(run_val + 1) + _gamma_len(run_len)
 
 
 def decode_symbols(bits: Sequence[int]) -> list[int]:

@@ -36,6 +36,11 @@ class TestDecompose:
         assert main(["decompose", "--spins", "banana"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_denominator_spin_domain_error(self, capsys):
+        assert main(["decompose", "--spins", "1/2,1/0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: not a valid non-negative (half-)integer spin: '1/0'\n")
+
 
 class TestValidate:
     def test_physical_example(self, capsys):
@@ -228,6 +233,16 @@ def test_non_object_state_file_is_named_domain_error(command, text, tmp_path, ca
     assert "error: ValueError: not a hierwave state: " in err and "Traceback" not in err
 
 
+def test_zero_denominator_scenario_spin_is_named_domain_error(tmp_path, capsys):
+    obj = json.loads((DATA / "hydra.json").read_text())
+    obj["components"][0]["subcomponents"][1]["irrep"] = "1/0"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["repair", "--scenario", str(path), "--remove", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: not a valid non-negative (half-)integer spin: '1/0'\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["repair", "--scenario", data_path("two_spin_example.json"), "--remove", "0"],
      "not a hierwave scenario: missing key 'target'"),
@@ -250,6 +265,33 @@ def test_non_object_input_file_is_named_domain_error(argv, message, tmp_path, ca
     assert main(argv + [str(path)]) == 1
     err = capsys.readouterr().err
     assert "error: ValueError: " + message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "pauli", "info"])
+@pytest.mark.parametrize("key, value", [
+    ("twice_j", math.inf), ("twice_j", 2.5), ("twice_m", "0"), ("twice_m", True), ("level", math.nan),
+])
+def test_non_integer_state_field_is_named_domain_error(command, key, value, tmp_path, capsys):
+    obj = json.loads((DATA / "two_spin_example.json").read_text())
+    node = obj["children"][0]
+    (node["basis"][0] if key.startswith("twice") else node)[key] = value
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--state", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {key} must be an integer, got {value!r}\n"
+
+
+def test_integral_float_state_fields_accepted(tmp_path, capsys):
+    obj = json.loads((DATA / "two_spin_example.json").read_text())
+    obj["level"] = 0.0
+    obj["basis"][0]["twice_j"] = 2.0
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--state", str(path)]) == 0
+    mutated = capsys.readouterr().out
+    assert main(["validate", "--state", data_path("two_spin_example.json")]) == 0
+    assert mutated == capsys.readouterr().out
 
 
 def _harmonic_config(tmp_path, **changes):
@@ -282,6 +324,38 @@ def test_bad_simulation_config_is_named_domain_error(changes, message, tmp_path,
     assert captured.err == f"error: ValueError: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"m0": "1.0"}, "m0 must be a number, got '1.0'"),
+    ({"m0": True}, "m0 must be a number, got True"),
+    ({"lambda0": "0"}, "lambda0 must be a number, got '0'"),
+    ({"lambda0": None}, "lambda0 must be a number, got None"),
+    ({"lambda1": False}, "lambda1 must be a number, got False"),
+    ({"dt": "1e-4"}, "dt must be a number, got '1e-4'"),
+    ({"dt": True}, "dt must be a number, got True"),
+    ({"spins": ["0.5", 0.5, 0.5, 0.5]},
+     "spins must be a list of numbers, got ['0.5', 0.5, 0.5, 0.5]"),
+    ({"spins": [0.5, 0.5, True, 0.5]}, "spins must be a list of numbers, got [0.5, 0.5, True, 0.5]"),
+    ({"spins": "0.5"}, "spins must be a list of numbers, got '0.5'"),
+    ({"x_init": ["-0.5", 0.5]}, "x_init must be a list of numbers, got ['-0.5', 0.5]"),
+    ({"x_init": -0.5}, "x_init must be a list of numbers, got -0.5"),
+    ({"v_init": [0.0, False]}, "v_init must be a list of numbers, got [0.0, False]"),
+    ({"v_init": [[0.0], 0.0]}, "v_init must be a list of numbers, got [[0.0], 0.0]"),
+    ({"potential_U": {"type": "harmonic", "k": "1.0"}}, "potential_U k must be a number, got '1.0'"),
+    ({"potential_U": {"type": "harmonic", "k": True}}, "potential_U k must be a number, got True"),
+    ({"potential_Lambda": {"type": "linear", "kappa": "0.5"}},
+     "potential_Lambda kappa must be a number, got '0.5'"),
+    ({"potential_Lambda": {"type": "linear", "kappa": False}},
+     "potential_Lambda kappa must be a number, got False"),
+    ({"steps": True}, "steps must be an integer, got True"),
+    ({"steps": False}, "steps must be an integer, got False"),
+])
+def test_non_number_simulation_field_is_named_domain_error(changes, message, tmp_path, capsys):
+    assert main(["simulate", "--config", _harmonic_config(tmp_path, **changes)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {message}\n" and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_integral_float_steps_accepted(tmp_path, capsys):
     assert main(["simulate", "--config", _harmonic_config(tmp_path, steps=10.0)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 12  # header + initial sample + 10 steps
@@ -301,6 +375,15 @@ def test_non_finite_classify_value_is_named_domain_error(lines, quantization, me
     assert main(["classify", "--series", str(path), "--quantization", quantization]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError: ") and err.rstrip().endswith(message)
+
+
+def test_non_numeric_classify_value_names_its_line(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("0.5\nabc\n")
+    assert main(["classify", "--series", str(path), "--quantization", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {path}:2: value 'abc' is not a number\n"
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_usage_error():

@@ -14,7 +14,7 @@ from hierwave.complexity import (
     symbolize,
 )
 
-from helpers import _read_gamma, decode_symbols, encode_symbols
+from helpers import _read_gamma, decode_symbols, encode_symbols, scan_description_length
 
 
 def series(values, q):
@@ -138,6 +138,58 @@ class TestCoder:
         r_const = description_length(const_seq) / raw_bits(const_seq)
         r_rand = description_length(rand_seq) / raw_bits(rand_seq)
         assert r_const <= r_rand
+
+
+def assert_matches_references(seq):
+    bits = description_length(seq)
+    assert bits == scan_description_length(seq), seq
+    assert bits == len(encode_symbols(seq)), seq
+
+
+class TestRecencyRank:
+    """description_length against the list-scan counter and the bit coder."""
+
+    @pytest.mark.parametrize("k", [2, 50, 720])
+    def test_cyclic_worst_case(self, k):
+        # after the first pass every symbol sits at position K - 1
+        for reps in (1, 2, 3, 5):
+            assert_matches_references(list(range(k)) * reps)
+            assert_matches_references([3 * s - k for s in range(k)] * reps)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_single_symbol(self, n):
+        assert_matches_references([0] * n)
+        assert_matches_references([-7] * n)
+
+    @pytest.mark.parametrize("k", [2, 3, 50, 720])
+    def test_return_after_every_other_symbol(self, k):
+        others = list(range(1, k))
+        assert_matches_references([0] + others + [0])
+        assert_matches_references([0] + others + [0] + others[::-1] + [0, 0])
+        assert_matches_references(others + [0] + others + [0] * 3)
+
+    def test_new_symbols_interleaved_with_repeats(self):
+        seq = []
+        for j in range(400):
+            seq.append(j)
+            seq.append(seq[j // 2])
+            if j % 7 == 0:
+                seq += [j] * 3
+        assert_matches_references(seq)
+        assert_matches_references([s if i % 2 else -s for i, s in enumerate(seq)])
+
+    def test_short_random_sequences(self):
+        rng = random.Random(5150)
+        for _ in range(2000):
+            alphabet = [rng.randrange(-20, 20) for _ in range(rng.randrange(1, 12))]
+            seq = [rng.choice(alphabet) for _ in range(rng.randrange(1, 30))]
+            assert_matches_references(seq)
+
+    def test_gaussian_series(self):
+        rng = random.Random(720)
+        seq = symbolize(series([rng.gauss(0.0, 1.0) for _ in range(20000)], 0.01))
+        assert len(set(seq)) > 500
+        assert_matches_references(seq)
 
 
 class TestClassify:
