@@ -153,9 +153,16 @@ def cmd_simulate(args) -> int:
         name, values = _parse_sweep(args.sweep)
         if not args.out:
             raise ValueError("sweep mode requires --out as a filename prefix")
+        if name not in dynamics.SWEEP_FIELDS:
+            raise ValueError(f"cannot sweep over field {name!r}")
         print(f"{name},max_energy_drift,error")
         for value in values:
-            traj = dynamics.run(dynamics.with_override(cfg, name, value))
+            try:
+                swept = dynamics.with_override(cfg, name, value)
+            except ValueError as exc:  # SimConfig rejects the value: an empty trajectory
+                traj = dynamics.Trajectory([], f"{type(exc).__name__}: {exc}")
+            else:
+                traj = dynamics.run(swept)
             path = f"{args.out}_{name}_{value:g}.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 dynamics.write_trajectory_csv(traj, fh)

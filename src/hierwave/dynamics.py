@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 class NonpositiveMassError(ValueError):
@@ -70,6 +71,9 @@ class SimConfig:
         object.__setattr__(self, "spins", tuple(float(s) for s in self.spins))
         object.__setattr__(self, "x_init", tuple(float(x) for x in self.x_init))
         object.__setattr__(self, "v_init", tuple(float(v) for v in self.v_init))
+        for name, pair in (("x_init", self.x_init), ("v_init", self.v_init)):
+            if len(pair) != 2:
+                raise ValueError(f"{name} must have two entries, got {len(pair)}")
         finite = [
             ("m0", self.m0), ("lambda0", self.lambda0), ("lambda1", self.lambda1), ("dt", self.dt),
             *(("x_init", x) for x in self.x_init), *(("v_init", v) for v in self.v_init),
@@ -100,10 +104,6 @@ class SimConfig:
         s = self.spins
         return s[0] * s[1] if block == 0 else s[2] * s[3]
 
-    def block_spin(self, block: int) -> float:
-        s = self.spins
-        return s[0] + s[1] if block == 0 else s[2] + s[3]
-
 
 @dataclass(frozen=True)
 class SimState:
@@ -112,8 +112,7 @@ class SimState:
     v: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     t: float
     x1: float
     x2: float
@@ -130,12 +129,8 @@ class Trajectory:
     error: str | None = None
 
 
-def coupling(cfg: SimConfig, v: float) -> float:
-    return cfg.lambda0 + cfg.lambda1 * v * v
-
-
 def effective_mass(cfg: SimConfig, block: int, v: float) -> float:
-    m = cfg.m0 + coupling(cfg, v) * cfg.spin_product(block)
+    m = cfg.m0 + (cfg.lambda0 + cfg.lambda1 * v * v) * cfg.spin_product(block)
     if m <= 0:
         raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
     return m
@@ -210,7 +205,8 @@ def potential_energy(cfg: SimConfig, x: tuple[float, float]) -> float:
         r = x[0] - x[1]
         u += 0.5 * cfg.potential_u.k * r * r
     if cfg.potential_spin is not None:
-        u += cfg.potential_spin.kappa * cfg.block_spin(0) * cfg.block_spin(1)
+        s = cfg.spins
+        u += cfg.potential_spin.kappa * (s[0] + s[1]) * (s[2] + s[3])
     return u
 
 
@@ -304,14 +300,13 @@ def run(cfg: SimConfig) -> Trajectory:
 
 
 CSV_COLUMNS = ("t", "x1", "x2", "v1", "v2", "m1_eff", "m2_eff", "E_total")
+_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
     """Write the trajectory with full double precision (17 significant digits)."""
     fh.write(",".join(CSV_COLUMNS) + "\n")
-    for s in traj.samples:
-        row = (s.t, s.x1, s.x2, s.v1, s.v2, s.m1_eff, s.m2_eff, s.e_total)
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    fh.writelines(_ROW % s for s in traj.samples)
 
 
 def max_energy_drift(traj: Trajectory) -> float:
@@ -342,31 +337,20 @@ def _numbers(value, key: str) -> tuple[float, ...]:
     return tuple(map(float, value))
 
 
-def _potential_type(obj, key: str) -> str:
-    """The "type" of a potential object; JSON null means "none"."""
-    if obj is None:
-        return "none"
-    if not isinstance(obj, dict):
-        raise ValueError(f"{key} must be an object or null, got {obj!r}")
-    return obj.get("type", "none")
-
-
-def _potential_u_from_obj(obj) -> HarmonicPotential | None:
-    kind = _potential_type(obj, "potential_U")
-    if kind == "none":
+def _potential(obj: dict, key: str, kind: str, cls, field: str):
+    """cls(number) from the potential object obj[key] of type kind; a missing
+    key, JSON null or type "none" means no potential."""
+    pot = obj.get(key)
+    if pot is None:
         return None
-    if kind == "harmonic":
-        return HarmonicPotential(k=_number(obj["k"], "potential_U k"))
-    raise ValueError(f"unknown position potential type {kind!r}")
-
-
-def _potential_spin_from_obj(obj) -> LinearSpinCoupling | None:
-    kind = _potential_type(obj, "potential_Lambda")
-    if kind == "none":
+    if not isinstance(pot, dict):
+        raise ValueError(f"{key} must be an object or null, got {pot!r}")
+    got = pot.get("type", "none")
+    if got == "none":
         return None
-    if kind == "linear":
-        return LinearSpinCoupling(kappa=_number(obj["kappa"], "potential_Lambda kappa"))
-    raise ValueError(f"unknown spin coupling type {kind!r}")
+    if got != kind:
+        raise ValueError(f"unknown {key} type {got!r}")
+    return cls(_number(pot[field], f"{key} {field}"))
 
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
@@ -376,8 +360,8 @@ def sim_config_from_obj(obj: dict) -> SimConfig:
             spins=_numbers(obj["spins"], "spins"),
             lambda0=_number(obj.get("lambda0", 0.0), "lambda0"),
             lambda1=_number(obj.get("lambda1", 0.0), "lambda1"),
-            potential_u=_potential_u_from_obj(obj.get("potential_U")),
-            potential_spin=_potential_spin_from_obj(obj.get("potential_Lambda")),
+            potential_u=_potential(obj, "potential_U", "harmonic", HarmonicPotential, "k"),
+            potential_spin=_potential(obj, "potential_Lambda", "linear", LinearSpinCoupling, "kappa"),
             x_init=_numbers(obj["x_init"], "x_init"),
             v_init=_numbers(obj["v_init"], "v_init"),
             dt=_number(obj["dt"], "dt"),
@@ -396,7 +380,10 @@ def load_sim_config(path: str) -> SimConfig:
         return sim_config_from_obj(json.load(fh))
 
 
+SWEEP_FIELDS = ("lambda0", "lambda1", "m0", "dt")
+
+
 def with_override(cfg: SimConfig, field_name: str, value: float) -> SimConfig:
-    if field_name not in ("lambda0", "lambda1", "m0", "dt"):
+    if field_name not in SWEEP_FIELDS:
         raise ValueError(f"cannot sweep over field {field_name!r}")
     return replace(cfg, **{field_name: value})

@@ -10,6 +10,7 @@ children; those objects live in different spaces.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -165,6 +166,9 @@ def dominant_label(wave: NodeWave) -> BasisLabel:
     """Basis label of the largest-|amplitude| entry; ties go to the lowest index."""
     if not wave.amplitudes:
         raise ValueError("node has no amplitudes")
+    if len(wave.amplitudes) != len(wave.level.basis):
+        raise ValueError(
+            f"amplitude count {len(wave.amplitudes)} != basis size {len(wave.level.basis)}")
     mags = [abs(a) for a in wave.amplitudes]
     return wave.level.basis[mags.index(max(mags))]
 
@@ -263,6 +267,24 @@ def _integer(obj: dict, key: str) -> int:
     return value
 
 
+_JSON_NUMBER = frozenset((int, float))  # exact types: a bool is not a number
+
+
+def _amplitude(pair) -> complex:
+    """An [re, im] pair of finite JSON numbers as a complex."""
+    if isinstance(pair, list) and len(pair) == 2:
+        re, im = pair
+        if type(re) in _JSON_NUMBER and type(im) in _JSON_NUMBER:
+            try:
+                z = complex(re, im)
+            except OverflowError:  # an integer beyond the float range
+                pass
+            else:
+                if cmath.isfinite(z):
+                    return z
+    raise ValueError(f"amplitudes must be [re, im] pairs of finite numbers, got {pair!r}")
+
+
 def _label_from_obj(obj: dict) -> BasisLabel:
     if not isinstance(obj, dict):
         raise TypeError(f"basis label is not an object: {obj!r}")
@@ -303,7 +325,7 @@ def state_from_obj(obj: dict) -> HierState:
     qn = obj.get("quantum_numbers")
     wave = NodeWave(
         level=level,
-        amplitudes=tuple(complex(re, im) for re, im in obj["amplitudes"]),
+        amplitudes=tuple(map(_amplitude, obj["amplitudes"])),
         statistics=obj.get("statistics", UNSPECIFIED),
         quantum_numbers=tuple(qn) if qn is not None else None,
     )

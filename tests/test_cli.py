@@ -85,6 +85,19 @@ class TestPauli:
         assert main(["pauli", "--state", str(path)]) == 1
         assert "share state" in capsys.readouterr().out
 
+    def test_amplitude_count_mismatch_is_domain_error(self, tmp_path, capsys):
+        obj = json.loads((DATA / "two_spin_example.json").read_text())
+        leaf = obj["children"][0]
+        leaf.update(statistics="fermion", quantum_numbers=[1, 0, 0])
+        leaf["basis"] = leaf["basis"][:1]
+        leaf["amplitudes"] = [[0.1, 0.0], [1.0, 0.0]]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        assert main(["pauli", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ValueError: amplitude count 2 != basis size 1\n"
+        assert captured.out == "" and "Traceback" not in captured.err
+
 
 class TestRepair:
     def test_hydra_one_descent(self, capsys):
@@ -177,6 +190,27 @@ class TestSimulate:
         assert rows[0][2] == ""
         for row in rows[1:]:
             assert len(row) == 3 and row[2].startswith("LegendreSingularityError: dp/dv = ")
+
+    def test_sweep_records_rejected_values(self, tmp_path, capsys):
+        prefix = str(tmp_path / "sweep")
+        code = main(
+            ["simulate", "--config", _harmonic_config(tmp_path), "--out", prefix, "--sweep", "m0=0:1:2"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["m0,max_energy_drift,error", "0,0,ValueError: m0 must be positive"]
+        assert len(out) == 3 and out[2].startswith("1,") and out[2].endswith(",")
+        header = "t,x1,x2,v1,v2,m1_eff,m2_eff,E_total\n"
+        assert (tmp_path / "sweep_m0_0.csv").read_text() == header
+        assert len((tmp_path / "sweep_m0_1.csv").read_text().splitlines()) == 12
+
+    def test_sweep_over_unsweepable_field_is_domain_error(self, tmp_path, capsys):
+        prefix = str(tmp_path / "sweep")
+        code = main(
+            ["simulate", "--config", _harmonic_config(tmp_path), "--out", prefix, "--sweep", "steps=1:2:2"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: cannot sweep over field 'steps'\n"
 
 
 class TestClassify:
@@ -282,6 +316,23 @@ def test_non_integer_state_field_is_named_domain_error(command, key, value, tmp_
     assert captured.err == f"error: ValueError: {key} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "pauli", "info"])
+@pytest.mark.parametrize("amplitude", [
+    [math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], [True, False], ["1", 0.0], [1.0],
+    [1.0, 0.0, 0.0], 1.0, None, [10**400, 0],
+])
+def test_bad_amplitude_is_named_domain_error(command, amplitude, tmp_path, capsys):
+    obj = json.loads((DATA / "two_spin_example.json").read_text())
+    obj["children"][0]["amplitudes"][0] = amplitude
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--state", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: ValueError: amplitudes must be [re, im] pairs of finite numbers, got {amplitude!r}\n")
+    assert captured.out == ""
+
+
 def test_integral_float_state_fields_accepted(tmp_path, capsys):
     obj = json.loads((DATA / "two_spin_example.json").read_text())
     obj["level"] = 0.0
@@ -317,6 +368,11 @@ def _harmonic_config(tmp_path, **changes):
     ({"steps": 2.5}, "steps must be an integer, got 2.5"),
     ({"steps": math.inf}, "steps must be an integer, got inf"),
     ({"m0": 10**400}, "not a hierwave simulation config: int too large to convert to float"),
+    ({"v_init": [0.1]}, "v_init must have two entries, got 1"),
+    ({"x_init": [-0.5, 0.5, 0.0]}, "x_init must have two entries, got 3"),
+    ({"x_init": []}, "x_init must have two entries, got 0"),
+    ({"potential_U": {"type": "x"}}, "unknown potential_U type 'x'"),
+    ({"potential_Lambda": {"type": "harmonic", "k": 1.0}}, "unknown potential_Lambda type 'harmonic'"),
 ])
 def test_bad_simulation_config_is_named_domain_error(changes, message, tmp_path, capsys):
     assert main(["simulate", "--config", _harmonic_config(tmp_path, **changes)]) == 1

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -10,6 +11,7 @@ from hierwave.dynamics import (
     NonpositiveMassError,
     SimConfig,
     SimState,
+    TrajectorySample,
     effective_mass,
     energy,
     invert_momentum,
@@ -18,6 +20,7 @@ from hierwave.dynamics import (
     run,
     sim_config_from_obj,
     step,
+    write_trajectory_csv,
 )
 
 from helpers import newton_invert_momentum, reference_constant_mass_rk4
@@ -355,6 +358,18 @@ class TestStepAndRun:
         traj = run(cfg)
         assert traj.error is None
         assert max_energy_drift(traj) < 1e-9
+
+
+class TestTrajectoryCsv:
+    def test_rows_are_seventeen_digit_fields(self):
+        sample = TrajectorySample(0.0, -0.0, 1e-300, 2.5e300, 1 / 3, math.pi, math.inf, -7)
+        traj = run(config(potential_u=HarmonicPotential(k=1.0), x_init=(-0.5, 0.5), lambda0=0.3))
+        traj.samples.append(sample)
+        fh = io.StringIO()
+        write_trajectory_csv(traj, fh)
+        reference = ["t,x1,x2,v1,v2,m1_eff,m2_eff,E_total"]
+        reference += [",".join(f"{v:.17g}" for v in s) for s in traj.samples]
+        assert fh.getvalue() == "\n".join(reference) + "\n"
 
 
 class TestConfigIO:

@@ -135,6 +135,16 @@ def parent_over(children, level_index=0):
     return HierState(NodeWave(level, (1.0,)), tuple(children))
 
 
+def test_amplitude_count_mismatch_is_named_error():
+    # two amplitudes over a one-label basis: the dominant entry has no label
+    leaf = HierState(NodeWave(HierarchyLevel(1, SU2, (SpinWeight(1, 1),)), (0.1, 1.0),
+                              statistics=FERMION, quantum_numbers=(1, 0, 0)))
+    psi = parent_over([leaf])
+    for check in (pauli_check, check_node):
+        with pytest.raises(ValueError, match="^amplitude count 2 != basis size 1$"):
+            check(psi)
+
+
 class TestPauliCheck:
     def test_identical_fermion_siblings_flagged(self):
         psi = parent_over([fermion_leaf(1, 1), fermion_leaf(1, 1)])
