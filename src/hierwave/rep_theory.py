@@ -4,7 +4,9 @@ Irreps are labeled by spin j (stored as 2j, an exact integer), tensor
 products are decomposed by folding the pairwise coupling series with
 exact integer multiplicities, and Clebsch-Gordan coefficients are
 evaluated from Racah's formula as an exact integer closed-form sum
-(Condon-Shortley phase convention throughout).
+(Condon-Shortley phase convention throughout). The coefficients are
+cached: one sum is evaluated per +-m pair, the partner taking the
+(-1)^(j1+j2-J) phase, and a query is validated on its first call.
 """
 
 from __future__ import annotations
@@ -124,18 +126,12 @@ class CGQuery:
     twice_J: int
     twice_M: int
 
-    def validate(self) -> None:
-        for tj, tm, name in (
-            (self.twice_j1, self.twice_m1, "j1/m1"),
-            (self.twice_j2, self.twice_m2, "j2/m2"),
-            (self.twice_J, self.twice_M, "J/M"),
-        ):
-            if tj < 0:
-                raise InvalidQueryError(f"{name}: negative spin 2j={tj}")
-            if abs(tm) > tj:
-                raise InvalidQueryError(f"{name}: |m| > j (2j={tj}, 2m={tm})")
-            if (tm - tj) % 2 != 0:
-                raise InvalidQueryError(f"{name}: parity mismatch (2j={tj}, 2m={tm})")
+    def __post_init__(self) -> None:
+        # exact ints only: an equal float or bool would share a validated cache key
+        for name in self.__dataclass_fields__:  # not vars(self): that builds a dict per instance
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidQueryError(f"{name} must be an int, got {value!r}")
 
 
 _FACT = [1]  # _FACT[n] == n!, extended on demand
@@ -150,6 +146,16 @@ def _factorials(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    # validate before anything else: lru_cache stores no exception, so an
+    # invalid query raises on every call, naming the m it was given
+    for tj, tm, name in ((tj1, tm1, "j1/m1"), (tj2, tm2, "j2/m2"), (tJ, tM, "J/M")):
+        if tj < 0:
+            raise InvalidQueryError(f"{name}: negative spin 2j={tj}")
+        if abs(tm) > tj:
+            raise InvalidQueryError(f"{name}: |m| > j (2j={tj}, 2m={tm})")
+        if (tm - tj) % 2 != 0:
+            raise InvalidQueryError(f"{name}: parity mismatch (2j={tj}, 2m={tm})")
+
     if tM != tm1 + tm2:
         return 0.0
     if not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
@@ -157,9 +163,16 @@ def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float
     if (tj1 + tj2 + tJ) % 2 != 0:
         return 0.0
 
+    # evaluate one of each +-m pair, the one with M > 0, or M = 0 and m1 >= 0:
+    # <j1 -m1 j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1 j2 m2 | J M>, the same
+    # rational square, so the same double; a zero keeps its + sign
+    if tM < 0 or (tM == 0 and tm1 < 0):
+        v = _cg_value(tj1, -tm1, tj2, -tm2, tJ, -tM)
+        return -v if v and (tj1 + tj2 - tJ) % 4 else v
+
     # Racah sum over k of (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!), times
     # the common denominator D so that every term is an exact integer; the
-    # range is never empty for a query that passed CGQuery.validate.
+    # range is never empty for a query that passed the checks above.
     a = (tj1 + tj2 - tJ) // 2
     b = (tj1 - tm1) // 2
     c = (tj2 + tm2) // 2
@@ -196,6 +209,8 @@ def clebsch_gordan(q: CGQuery) -> float:
 
     Returns 0 when M != m1+m2 or J lies outside the coupling series.
     Exact integer sum; the float result is within ~1 ulp at any spin unless its square underflows.
+    Values are cached: one sum is evaluated per +-m pair (the other member is
+    the (-1)^(j1+j2-J) phase times it), and a query is validated on its first
+    call; an invalid one raises InvalidQueryError on every call.
     """
-    q.validate()
     return _cg_value(q.twice_j1, q.twice_m1, q.twice_j2, q.twice_m2, q.twice_J, q.twice_M)

@@ -257,14 +257,32 @@ def _label_to_obj(label: BasisLabel) -> dict:
     raise TypeError(f"unknown basis label {label!r}")
 
 
+def _as_integer(value) -> int | None:
+    """value as an int if it is a JSON integer or an integral float, else None."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
 def _integer(obj: dict, key: str) -> int:
     """obj[key] as an int; JSON integers and integral floats only."""
-    value = obj[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    value = _as_integer(obj[key])
+    if value is None:
+        raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
     return value
+
+
+def _quantum_numbers(qn) -> tuple[int, ...] | None:
+    """A node's optional quantum numbers: a list read element by element like _integer."""
+    if qn is None:
+        return None
+    if isinstance(qn, list):
+        ints = tuple(map(_as_integer, qn))
+        if None not in ints:
+            return ints
+    raise ValueError(f"quantum_numbers must be a list of integers, got {qn!r}")
 
 
 _JSON_NUMBER = frozenset((int, float))  # exact types: a bool is not a number
@@ -322,12 +340,11 @@ def state_from_obj(obj: dict) -> HierState:
         group=str(obj["group"]),
         basis=tuple(_label_from_obj(b) for b in obj["basis"]),
     )
-    qn = obj.get("quantum_numbers")
     wave = NodeWave(
         level=level,
         amplitudes=tuple(map(_amplitude, obj["amplitudes"])),
         statistics=obj.get("statistics", UNSPECIFIED),
-        quantum_numbers=tuple(qn) if qn is not None else None,
+        quantum_numbers=_quantum_numbers(obj.get("quantum_numbers")),
     )
     try:
         return HierState(wave, tuple(state_from_obj(c) for c in obj.get("children", [])))

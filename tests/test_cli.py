@@ -333,6 +333,32 @@ def test_bad_amplitude_is_named_domain_error(command, amplitude, tmp_path, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "pauli"])
+@pytest.mark.parametrize("qn", [[math.inf], [1.5], ["7"], [True], 7])
+def test_bad_quantum_numbers_is_named_domain_error(command, qn, tmp_path, capsys):
+    obj = json.loads((DATA / "two_spin_example.json").read_text())
+    obj["children"][0].update(statistics="fermion", quantum_numbers=qn)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--state", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: quantum_numbers must be a list of integers, got {qn!r}\n"
+    assert captured.out == ""
+
+
+def test_integral_float_quantum_numbers_accepted(tmp_path, capsys):
+    outputs = []
+    for qn in ([1, 0, 0], [1.0, 0.0, -0.0]):
+        obj = json.loads((DATA / "two_spin_example.json").read_text())
+        for child in obj["children"]:
+            child.update(statistics="fermion", quantum_numbers=qn)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        assert main(["pauli", "--state", str(path), "--scope", "1"]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "share state ((1, 0, 0), " in outputs[0]
+
+
 def test_integral_float_state_fields_accepted(tmp_path, capsys):
     obj = json.loads((DATA / "two_spin_example.json").read_text())
     obj["level"] = 0.0

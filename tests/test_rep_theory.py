@@ -1,8 +1,10 @@
 import math
 import random
+import re
 
 import pytest
 
+from hierwave import rep_theory
 from hierwave.rep_theory import (
     CGQuery,
     EmptyProductError,
@@ -230,3 +232,67 @@ class TestIntegerRacahSum:
             zeros += got == 0.0
             nonzeros += got != 0.0
         assert zeros > 300 and nonzeros > 1500
+
+
+def _table(tj1, tj2):
+    """Every query of the (tj1, tj2) coupling table, M != m1 + m2 included."""
+    return [
+        (tj1, tm1, tj2, tm2, tJ, tM)
+        for tm1 in range(-tj1, tj1 + 1, 2)
+        for tm2 in range(-tj2, tj2 + 1, 2)
+        for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        for tM in range(-tJ, tJ + 1, 2)
+    ]
+
+
+class TestCachedEntryPoint:
+    """One sum per +-m pair, the partner taking the (-1)^(j1+j2-J) phase;
+    exact-int queries, validated inside the cache."""
+
+    @pytest.mark.parametrize("tj1, tj2", [(10, 12), (7, 7)])
+    def test_every_zero_is_positive(self, tj1, tj2):
+        zeros = 0
+        for q in _table(tj1, tj2):
+            v = clebsch_gordan(CGQuery(*q))
+            if v == 0.0:
+                assert math.copysign(1.0, v) == 1.0, q  # == cannot see -0.0
+                zeros += 1
+        assert zeros > 0
+
+    @pytest.mark.parametrize("tj1, tj2", [(26, 30), (30, 26)])
+    def test_partner_is_phase_times_value(self, tj1, tj2):
+        checked = 0
+        for tm1 in range(-tj1, tj1 + 1, 2):
+            for tm2 in range(-tj2, tj2 + 1, 2):
+                tM = tm1 + tm2
+                for tJ in range(max(abs(tj1 - tj2), abs(tM)), tj1 + tj2 + 1, 2):
+                    v = clebsch_gordan(CGQuery(tj1, tm1, tj2, tm2, tJ, tM))
+                    partner = clebsch_gordan(CGQuery(tj1, -tm1, tj2, -tm2, tJ, -tM))
+                    phase = -1 if (tj1 + tj2 - tJ) // 2 % 2 else 1
+                    assert partner == phase * v, (tj1, tm1, tj2, tm2, tJ, tM)
+                    checked += phase == -1 and v != 0.0
+        assert checked > 1000
+
+    def test_invalid_negative_M_query_names_the_given_m_every_call(self):
+        rep_theory._cg_value.cache_clear()
+        message = re.escape("j1/m1: |m| > j (2j=1, 2m=-3)")
+        for _ in range(2):
+            with pytest.raises(InvalidQueryError, match=message):
+                clebsch_gordan(CGQuery(1, -3, 1, 1, 2, -2))
+
+    def test_cache_holds_one_entry_per_table_query(self):
+        rep_theory._cg_value.cache_clear()
+        table = _table(10, 12)
+        for q in table:
+            clebsch_gordan(CGQuery(*q))
+        assert rep_theory._cg_value.cache_info().currsize == len(table)
+
+    @pytest.mark.parametrize("fields, name", [
+        ((1.0, 1, 1, 1, 2, 2), "twice_j1"),
+        ((True, True, 1, 1, 2, 2), "twice_j1"),
+        ((1.5, 1.5, 1, 1, 2, 2), "twice_j1"),
+        ((1, 1, 1, 1, "2", 2), "twice_J"),
+    ])
+    def test_non_int_query_rejected(self, fields, name):
+        with pytest.raises(InvalidQueryError, match=f"^{name} must be an int, got "):
+            CGQuery(*fields)
