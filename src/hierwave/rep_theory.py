@@ -1,18 +1,18 @@
 """SU(2) irreducible-representation algebra.
 
 Irreps are labeled by spin j (stored as 2j, an exact integer), tensor
-products are decomposed by folding the pairwise coupling series with
-exact integer multiplicities, and Clebsch-Gordan coefficients are
-evaluated from Racah's formula as an exact integer closed-form sum
-(Condon-Shortley phase convention throughout). The coefficients are
-cached: one sum is evaluated per +-m pair, the partner taking the
-(-1)^(j1+j2-J) phase, and a query is validated on its first call.
+products are decomposed by counting weights in one exact big-integer
+product of the factors' weight polynomials, and Clebsch-Gordan
+coefficients are evaluated from Racah's formula as an exact integer
+closed-form sum (Condon-Shortley phase convention throughout). The
+coefficients are cached: one sum is evaluated per +-m pair, the partner
+taking the (-1)^(j1+j2-J) phase, and a query is validated on its first
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
@@ -31,15 +31,30 @@ def format_j(twice_j: int) -> str:
 
 
 def parse_j(text: str) -> int:
-    """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value."""
-    message = f"not a valid non-negative (half-)integer spin: {text!r}"
-    try:
-        twice = 2 * Fraction(text.strip())
-    except ZeroDivisionError:  # "1/0"
-        raise ValueError(message) from None
-    if twice.denominator != 1 or twice < 0:
-        raise ValueError(message)
-    return int(twice)
+    """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value.
+
+    The grammar is Fraction's without underscores: an optional sign, then
+    n/d or a decimal with an optional exponent, digits being Unicode decimals.
+    """
+    spin = text.strip()
+    body = spin[1:] if spin[:1] in ("+", "-") else spin
+    num, slash, den = body.partition("/")
+    mantissa, e, exp = body.replace("E", "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    if slash and num.isdecimal() and den.isdecimal():
+        numer, denom = 2 * int(num), int(den)
+    elif not slash and (whole + frac).isdecimal() and (
+        not e or (exp[1:] if exp[:1] in ("+", "-") else exp).isdecimal()
+    ):
+        shift = (int(exp) if e else 0) - len(frac)
+        numer, denom = 2 * int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    else:
+        # the text Fraction gave for a malformed spin, which the CLI prints
+        raise ValueError(f"Invalid literal for Fraction: {spin!r}")
+    twice, rest = divmod(numer, denom) if denom else (0, 1)  # "1/0" is no spin either
+    if rest or (twice and spin[:1] == "-"):
+        raise ValueError(f"not a valid non-negative (half-)integer spin: {text!r}")
+    return twice
 
 
 @dataclass(frozen=True, order=True)
@@ -47,6 +62,9 @@ class IrrepLabel:
     twice_j: int
 
     def __post_init__(self) -> None:
+        # exact ints only: a float would make dim and the weight count non-integral
+        if type(self.twice_j) is not int:
+            raise ValueError(f"twice_j must be an int, got {self.twice_j!r}")
         if self.twice_j < 0:
             raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
 
@@ -96,22 +114,50 @@ def couple_pair(j1: IrrepLabel, j2: IrrepLabel) -> IrrepSum:
 
 def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> IrrepSum:
     """Decompose a tensor product of irreps into irreducible blocks with
-    multiplicities, by left-folding the pairwise series over 2j integers."""
+    multiplicities, by counting weights in one big-integer product.
+
+    The weights 2m = -2j, -2j+2, ..., 2j of spin j have the generating
+    function 1 + X + ... + X^(2j) = (X^(2j+1) - 1) / (X - 1), so the count
+    N(M) of product-basis vectors of total weight M is one coefficient of
+    the product of these repunits, and mult(J) = N(M=J) - N(M=J+1).  No
+    count exceeds the product dimension, so with X = 2^(8w) and
+    w = dim.bit_length() // 8 + 1 bytes per digit the coefficients never
+    carry and the product is one exact integer (Kronecker substitution).
+    Factors of equal dimension share one power.  Cost: one big-integer
+    power per distinct dimension, the result having (sum of 2j + 1) * w
+    bytes, then one digit read per J in the upper half; no Python-level
+    work per (entry, J) pair.
+    """
     if not factors:
         raise EmptyProductError("cannot decompose an empty tensor product")
-    counts = {factors[0].twice_j: 1}
-    for factor in factors[1:]:
-        tf = factor.twice_j
-        nxt: dict[int, int] = {}
-        for tj, mult in counts.items():
-            for tJ in range(abs(tj - tf), tj + tf + 1, 2):
-                nxt[tJ] = nxt.get(tJ, 0) + mult
-        counts = nxt
-    result = IrrepSum.from_counts({IrrepLabel(tj): mult for tj, mult in counts.items()})
-    expected = 1
-    for f in factors:
-        expected *= f.dim
-    assert result.total_dim == expected, "dimension bookkeeping error"
+    groups: dict[int, int] = {}  # dimension -> number of factors
+    dim = 1
+    top = 0  # sum of 2j: the highest total weight 2M
+    for factor in factors:
+        d = factor.twice_j + 1
+        groups[d] = groups.get(d, 0) + 1
+        dim *= d
+        top += d - 1
+    w = dim.bit_length() // 8 + 1
+    bits = 8 * w
+    digit_mask = (1 << bits) - 1  # X - 1
+    weights = 1
+    for d, k in groups.items():
+        weights *= (((1 << bits * d) - 1) // digit_mask) ** k
+    # digit i of the upper half is N(M) at 2M = top % 2 + 2i; walk it from the
+    # top down, so the entries come out by descending j, and since the counts
+    # fall from M = 0 up, each mult is >= 0
+    half = top // 2
+    raw = (weights >> bits * (top - half)).to_bytes((half + 1) * w, "little")
+    entries = []
+    above = 0  # N(M+1); none above the top weight
+    for i in range(half, -1, -1):
+        n = int.from_bytes(raw[i * w:(i + 1) * w], "little")
+        if n != above:
+            entries.append((IrrepLabel(top % 2 + 2 * i), n - above))
+        above = n
+    result = IrrepSum(tuple(entries))
+    assert result.total_dim == dim, "dimension bookkeeping error"
     return result
 
 

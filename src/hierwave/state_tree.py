@@ -95,8 +95,13 @@ class NodeWave:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
-        if self.quantum_numbers is not None:
-            object.__setattr__(self, "quantum_numbers", tuple(int(q) for q in self.quantum_numbers))
+        qn = self.quantum_numbers
+        if qn is not None:
+            # each element an int or an integral float, as in a state file
+            ints = tuple(map(_as_integer, qn)) if isinstance(qn, (list, tuple)) else (None,)
+            if None in ints:
+                raise ValueError(f"quantum_numbers must be a list of integers, got {qn!r}")
+            object.__setattr__(self, "quantum_numbers", ints)
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes)
@@ -274,17 +279,6 @@ def _integer(obj: dict, key: str) -> int:
     return value
 
 
-def _quantum_numbers(qn) -> tuple[int, ...] | None:
-    """A node's optional quantum numbers: a list read element by element like _integer."""
-    if qn is None:
-        return None
-    if isinstance(qn, list):
-        ints = tuple(map(_as_integer, qn))
-        if None not in ints:
-            return ints
-    raise ValueError(f"quantum_numbers must be a list of integers, got {qn!r}")
-
-
 _JSON_NUMBER = frozenset((int, float))  # exact types: a bool is not a number
 
 
@@ -344,7 +338,7 @@ def state_from_obj(obj: dict) -> HierState:
         level=level,
         amplitudes=tuple(map(_amplitude, obj["amplitudes"])),
         statistics=obj.get("statistics", UNSPECIFIED),
-        quantum_numbers=_quantum_numbers(obj.get("quantum_numbers")),
+        quantum_numbers=obj.get("quantum_numbers"),  # checked by NodeWave
     )
     try:
         return HierState(wave, tuple(state_from_obj(c) for c in obj.get("children", [])))

@@ -13,6 +13,7 @@ import numpy as np
 from hierwave.complexity import _first_appearance, _gamma_len, _zigzag, dictionary_header_bits
 from hierwave.dynamics import SimConfig, momentum
 from hierwave.physicality import PauliViolation
+from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum
 from hierwave.state_tree import (
     FERMION,
     HierarchyLevel,
@@ -49,6 +50,35 @@ def irrep_multiplicities_by_weights(twice_js: list[int]) -> dict[int, int]:
         if mult > 0:
             out[tJ] = mult
     return out
+
+
+def fold_decompose_product(factors: Sequence[IrrepLabel]) -> IrrepSum:
+    """decompose_product by left-folding the pairwise coupling series over 2j
+    integers, one dict update per (entry, J) pair: the form before weight
+    counting."""
+    if not factors:
+        raise EmptyProductError("cannot decompose an empty tensor product")
+    counts = {factors[0].twice_j: 1}
+    for factor in factors[1:]:
+        tf = factor.twice_j
+        nxt: dict[int, int] = {}
+        for tj, mult in counts.items():
+            for tJ in range(abs(tj - tf), tj + tf + 1, 2):
+                nxt[tJ] = nxt.get(tJ, 0) + mult
+        counts = nxt
+    return IrrepSum.from_counts({IrrepLabel(tj): mult for tj, mult in counts.items()})
+
+
+def fraction_parse_j(text: str) -> int:
+    """parse_j through Fraction, the form before integer string parsing."""
+    message = f"not a valid non-negative (half-)integer spin: {text!r}"
+    try:
+        twice = 2 * Fraction(text.strip())
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(message) from None
+    if twice.denominator != 1 or twice < 0:
+        raise ValueError(message)
+    return int(twice)
 
 
 def _lowering(tj: int) -> np.ndarray:

@@ -20,7 +20,9 @@ from hierwave.rep_theory import (
 
 from helpers import (
     cg_oracle_table,
+    fold_decompose_product,
     fraction_cg_value,
+    fraction_parse_j,
     irrep_multiplicities_by_weights,
     weight_multiplicities,
 )
@@ -43,6 +45,56 @@ class TestLabels:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             IrrepLabel(-1)
+
+    @pytest.mark.parametrize("twice_j", [1.5, True, "2", 2.0])
+    def test_non_int_rejected(self, twice_j):
+        with pytest.raises(ValueError, match=rf"^twice_j must be an int, got {re.escape(repr(twice_j))}$"):
+            IrrepLabel(twice_j)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+# spins the two parsers agree on under every supported Python; underscores
+# ("1_0") and blanks around "/" are left out, since Fraction's grammar for
+# them changed between versions
+PARSE_CORPUS = [
+    "0", "1", "2", "10", "007", "1/2", "3/2", "7/2", "2/4", "4/2", "0/7", "1/3",
+    "0.5", "1.5", "2.5", "0.50", "0.25", "1.", ".5", "+.5", "-.5", "10e-1", "25e-2",
+    "1e0", "1E0", "1e+1", "1.e1", "1e-1", "5e-1", "1.0e1",
+    "+1/2", "-1/2", "-0", "+0", "-0.0", "-1", "1/-2", "1/+2",
+    " 1/2 ", "\t3/2\n", "  ",
+    "1/0", "0/0", "-1/0", "abc", "",
+    ".", "+", "-", "1e", "1e+", "e5", ".e5", "1.5/2", "1/2e3", "1/2/3", "1..5",
+    "- 1", "+-1", "--1", "0x10", "inf", "nan", "1j", "\u0663", "\u0663/\u0662", "\u00bd", "\u00b2",
+]
+
+
+class TestParseJ:
+    def test_matches_fraction_parser(self):
+        rng = random.Random(11)
+        noise = ["".join(rng.choice("0123456789./+-eE ") for _ in range(rng.randint(1, 6)))
+                 for _ in range(3000)]
+        for text in PARSE_CORPUS + noise:
+            assert _outcome(parse_j, text) == _outcome(fraction_parse_j, text), repr(text)
+
+    def test_values(self):
+        assert [parse_j(t) for t in ("1/2", "1.5", "+1/2", "-0", "0.50", "1e0", " 7/2\t")] == [1, 3, 1, 0, 1, 2, 7]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "not a valid non-negative (half-)integer spin: '1/0'"),
+        ("-1/2", "not a valid non-negative (half-)integer spin: '-1/2'"),
+        ("1/3", "not a valid non-negative (half-)integer spin: '1/3'"),
+        (" abc ", "Invalid literal for Fraction: 'abc'"),
+        ("", "Invalid literal for Fraction: ''"),
+    ])
+    def test_error_text(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_j(text)
 
 
 class TestCouplePair:
@@ -105,6 +157,52 @@ class TestDecomposeProduct:
         s = decompose_product([IrrepLabel(tj) for tj in tjs])
         assert s.total_dim == math.prod(tj + 1 for tj in tjs)
         assert {lab.twice_j: mult for lab, mult in s.entries} == irrep_multiplicities_by_weights(tjs)
+
+
+def _assert_decomposition(twice_js):
+    factors = [IrrepLabel(tj) for tj in twice_js]
+    got = decompose_product(factors)
+    by_weights = IrrepSum.from_counts(
+        {IrrepLabel(tj): mult for tj, mult in irrep_multiplicities_by_weights(twice_js).items()})
+    for oracle in (fold_decompose_product(factors), by_weights):
+        assert got == oracle, twice_js
+        assert str(got) == str(oracle), twice_js
+
+
+class TestWeightCountingDecomposition:
+    """decompose_product against the pairwise fold and plain weight counting."""
+
+    def test_every_single_spin(self):
+        for tj in range(61):
+            _assert_decomposition([tj])
+
+    def test_spin_zero_factors(self):
+        for tjs in ([0], [0, 0], [0, 1], [3, 0], [0, 2, 0, 1], [0] * 5 + [4] * 3, [1, 0] * 20):
+            _assert_decomposition(tjs)
+
+    def test_multi_byte_digits(self):
+        # 2^300 states, so each digit is 38 bytes; the middle weight counts exceed 2^64
+        tjs = [1] * 300
+        _assert_decomposition(tjs)
+        assert decompose_product([IrrepLabel(1)] * 300).multiplicity(IrrepLabel(0)) == (
+            math.comb(300, 150) // 151)  # the Catalan number C_150
+        assert math.comb(300, 150) > 2**64
+
+    def test_long_mixed_list(self):
+        rng = random.Random(250)
+        _assert_decomposition([rng.choice((1, 2, 3)) for _ in range(250)])
+
+    def test_large_spins(self):
+        rng = random.Random(400)
+        for tjs in ([400, 400], [400, 399], [0, 400], [400, 1, 400], [137, 400, 254]):
+            _assert_decomposition(tjs)
+        for _ in range(6):
+            _assert_decomposition([rng.randint(0, 400) for _ in range(rng.randint(2, 3))])
+
+    def test_random_short_lists(self):
+        rng = random.Random(2000)
+        for _ in range(2000):
+            _assert_decomposition([rng.randint(0, 8) for _ in range(rng.randint(1, 6))])
 
 
 class TestContains:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -74,6 +75,20 @@ class TestSpinWeight:
     def test_parity(self):
         with pytest.raises(ValueError):
             SpinWeight(2, 1)
+
+
+class TestQuantumNumbers:
+    @pytest.mark.parametrize("qn", [(1.5,), ("7",), (True,), (math.inf,), (1, math.nan), "12", 7])
+    def test_non_integers_rejected(self, qn):
+        with pytest.raises(ValueError, match=r"^quantum_numbers must be a list of integers, got "):
+            leaf(quantum_numbers=qn)
+
+    def test_integral_floats_become_ints(self):
+        qn = leaf(quantum_numbers=(1.0, 0.0, -0.0)).wave.quantum_numbers
+        assert qn == (1, 0, 0) and all(type(q) is int for q in qn)
+
+    def test_list_becomes_tuple(self):
+        assert leaf(quantum_numbers=[2, -1]).wave.quantum_numbers == (2, -1)
 
 
 class TestScalarMul:
