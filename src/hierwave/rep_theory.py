@@ -25,36 +25,41 @@ class InvalidQueryError(ValueError):
     """Clebsch-Gordan query violating |m| <= j or j/m parity."""
 
 
+class SpinRangeError(ValueError):
+    """A spin above MAX_TWICE_J."""
+
+
+# The largest 2j taken from outside (j = 5000): parse_j, a state's spin labels
+# and decompose_product's factors are held to it.  The integer that
+# decompose_product multiplies has (sum of 2j + 1) * w bytes, so an unbounded
+# spin costs unbounded memory; at the bound, two factors take about 40 ms.
+MAX_TWICE_J = 10_000
+
+
 def format_j(twice_j: int) -> str:
     """Render 2j as "1/2", "1", "3/2", ..."""
     return str(twice_j // 2) if twice_j % 2 == 0 else f"{twice_j}/2"
 
 
-def parse_j(text: str) -> int:
-    """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value.
+def check_spin_range(twice_j: int) -> None:
+    """Raise SpinRangeError if 2j is above MAX_TWICE_J."""
+    if twice_j > MAX_TWICE_J:
+        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {twice_j}")
 
-    The grammar is Fraction's without underscores: an optional sign, then
-    n/d or a decimal with an optional exponent, digits being Unicode decimals.
-    """
-    spin = text.strip()
-    body = spin[1:] if spin[:1] in ("+", "-") else spin
-    num, slash, den = body.partition("/")
-    mantissa, e, exp = body.replace("E", "e").partition("e")
-    whole, _, frac = mantissa.partition(".")
-    if slash and num.isdecimal() and den.isdecimal():
-        numer, denom = 2 * int(num), int(den)
-    elif not slash and (whole + frac).isdecimal() and (
-        not e or (exp[1:] if exp[:1] in ("+", "-") else exp).isdecimal()
-    ):
-        shift = (int(exp) if e else 0) - len(frac)
-        numer, denom = 2 * int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
-    else:
-        # the text Fraction gave for a malformed spin, which the CLI prints
-        raise ValueError(f"Invalid literal for Fraction: {spin!r}")
-    twice, rest = divmod(numer, denom) if denom else (0, 1)  # "1/0" is no spin either
-    if rest or (twice and spin[:1] == "-"):
-        raise ValueError(f"not a valid non-negative (half-)integer spin: {text!r}")
-    return twice
+
+def parse_j(text: str) -> int:
+    """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value."""
+    from fractions import Fraction  # here, so that importing hierwave loads no fractions or decimal
+
+    message = f"not a valid non-negative (half-)integer spin: {text!r}"
+    try:
+        twice = 2 * Fraction(text.strip())
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(message) from None
+    if twice.denominator != 1 or twice < 0:
+        raise ValueError(message)
+    check_spin_range(twice.numerator)
+    return twice.numerator
 
 
 @dataclass(frozen=True, order=True)
@@ -126,7 +131,8 @@ def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> Irr
     Factors of equal dimension share one power.  Cost: one big-integer
     power per distinct dimension, the result having (sum of 2j + 1) * w
     bytes, then one digit read per J in the upper half; no Python-level
-    work per (entry, J) pair.
+    work per (entry, J) pair.  A factor above MAX_TWICE_J raises
+    SpinRangeError.
     """
     if not factors:
         raise EmptyProductError("cannot decompose an empty tensor product")
@@ -134,6 +140,7 @@ def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> Irr
     dim = 1
     top = 0  # sum of 2j: the highest total weight 2M
     for factor in factors:
+        check_spin_range(factor.twice_j)
         d = factor.twice_j + 1
         groups[d] = groups.get(d, 0) + 1
         dim *= d

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, Union
 
+from .rep_theory import check_spin_range
+
 # symmetry-group tags; any other string is treated as a custom group
 SU2 = "SU2"
 TRANSLATION_1D = "Translation1D"
@@ -48,6 +50,7 @@ class SpinWeight:
     def __post_init__(self) -> None:
         if self.twice_j < 0:
             raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
+        check_spin_range(self.twice_j)
         if abs(self.twice_m) > self.twice_j:
             raise ValueError(f"|m| > j for (2j, 2m) = ({self.twice_j}, {self.twice_m})")
         if (self.twice_m - self.twice_j) % 2 != 0:

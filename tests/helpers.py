@@ -69,18 +69,6 @@ def fold_decompose_product(factors: Sequence[IrrepLabel]) -> IrrepSum:
     return IrrepSum.from_counts({IrrepLabel(tj): mult for tj, mult in counts.items()})
 
 
-def fraction_parse_j(text: str) -> int:
-    """parse_j through Fraction, the form before integer string parsing."""
-    message = f"not a valid non-negative (half-)integer spin: {text!r}"
-    try:
-        twice = 2 * Fraction(text.strip())
-    except ZeroDivisionError:  # "1/0"
-        raise ValueError(message) from None
-    if twice.denominator != 1 or twice < 0:
-        raise ValueError(message)
-    return int(twice)
-
-
 def _lowering(tj: int) -> np.ndarray:
     # J- in the basis m = j, j-1, ..., -j
     dim = tj + 1

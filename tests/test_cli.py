@@ -41,6 +41,10 @@ class TestDecompose:
         assert capsys.readouterr().err == (
             "error: ValueError: not a valid non-negative (half-)integer spin: '1/0'\n")
 
+    def test_huge_spin_domain_error(self, capsys):
+        assert main(["decompose", "--spins", "1000000000"]) == 1
+        assert capsys.readouterr().err == "error: SpinRangeError: twice_j must be <= 10000, got 2000000000\n"
+
 
 class TestValidate:
     def test_physical_example(self, capsys):
@@ -265,6 +269,27 @@ def test_non_object_state_file_is_named_domain_error(command, text, tmp_path, ca
     assert main([command, "--state", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error: ValueError: not a hierwave state: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "pauli", "info"])
+def test_huge_state_spin_is_named_domain_error(command, tmp_path, capsys):
+    obj = json.loads((DATA / "two_spin_example.json").read_text())
+    obj["children"][0]["basis"][0].update(twice_j=2 * 10**9, twice_m=0)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--state", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: SpinRangeError: twice_j must be <= 10000, got 2000000000\n"
+    assert captured.out == ""
+
+
+def test_huge_scenario_spin_is_named_domain_error(tmp_path, capsys):
+    obj = json.loads((DATA / "hydra.json").read_text())
+    obj["components"][0]["subcomponents"][1]["irrep"] = "1000000000"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["repair", "--scenario", str(path), "--remove", "1"]) == 1
+    assert capsys.readouterr().err == "error: SpinRangeError: twice_j must be <= 10000, got 2000000000\n"
 
 
 def test_zero_denominator_scenario_spin_is_named_domain_error(tmp_path, capsys):

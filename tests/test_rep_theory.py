@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,8 @@ from hierwave.rep_theory import (
     InvalidQueryError,
     IrrepLabel,
     IrrepSum,
+    MAX_TWICE_J,
+    SpinRangeError,
     clebsch_gordan,
     couple_pair,
     decompose_product,
@@ -22,7 +27,6 @@ from helpers import (
     cg_oracle_table,
     fold_decompose_product,
     fraction_cg_value,
-    fraction_parse_j,
     irrep_multiplicities_by_weights,
     weight_multiplicities,
 )
@@ -52,35 +56,14 @@ class TestLabels:
             IrrepLabel(twice_j)
 
 
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except ValueError as e:
-        return f"ValueError: {e}"
-
-
-# spins the two parsers agree on under every supported Python; underscores
-# ("1_0") and blanks around "/" are left out, since Fraction's grammar for
-# them changed between versions
-PARSE_CORPUS = [
-    "0", "1", "2", "10", "007", "1/2", "3/2", "7/2", "2/4", "4/2", "0/7", "1/3",
-    "0.5", "1.5", "2.5", "0.50", "0.25", "1.", ".5", "+.5", "-.5", "10e-1", "25e-2",
-    "1e0", "1E0", "1e+1", "1.e1", "1e-1", "5e-1", "1.0e1",
-    "+1/2", "-1/2", "-0", "+0", "-0.0", "-1", "1/-2", "1/+2",
-    " 1/2 ", "\t3/2\n", "  ",
-    "1/0", "0/0", "-1/0", "abc", "",
-    ".", "+", "-", "1e", "1e+", "e5", ".e5", "1.5/2", "1/2e3", "1/2/3", "1..5",
-    "- 1", "+-1", "--1", "0x10", "inf", "nan", "1j", "\u0663", "\u0663/\u0662", "\u00bd", "\u00b2",
-]
-
-
 class TestParseJ:
-    def test_matches_fraction_parser(self):
-        rng = random.Random(11)
-        noise = ["".join(rng.choice("0123456789./+-eE ") for _ in range(rng.randint(1, 6)))
-                 for _ in range(3000)]
-        for text in PARSE_CORPUS + noise:
-            assert _outcome(parse_j, text) == _outcome(fraction_parse_j, text), repr(text)
+    def test_import_loads_no_fractions(self):
+        # parse_j imports Fraction itself, so the package import stays lighter
+        src = os.path.dirname(os.path.dirname(rep_theory.__file__))
+        code = "import sys, hierwave, hierwave.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "[]\n"
 
     def test_values(self):
         assert [parse_j(t) for t in ("1/2", "1.5", "+1/2", "-0", "0.50", "1e0", " 7/2\t")] == [1, 3, 1, 0, 1, 2, 7]
@@ -95,6 +78,12 @@ class TestParseJ:
     def test_error_text(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_j(text)
+
+    def test_spin_range(self):
+        assert parse_j(str(MAX_TWICE_J // 2)) == MAX_TWICE_J
+        for text in (f"{MAX_TWICE_J + 1}/2", "1000000000", "1e100"):
+            with pytest.raises(SpinRangeError, match=rf"^twice_j must be <= {MAX_TWICE_J}, got \d+$"):
+                parse_j(text)
 
 
 class TestCouplePair:
@@ -203,6 +192,16 @@ class TestWeightCountingDecomposition:
         rng = random.Random(2000)
         for _ in range(2000):
             _assert_decomposition([rng.randint(0, 8) for _ in range(rng.randint(1, 6))])
+
+    def test_spin_range(self):
+        # the coupling series at the bound: 2J = 1, 3, ..., 2 * MAX_TWICE_J - 1, each once
+        top = [IrrepLabel(MAX_TWICE_J), IrrepLabel(MAX_TWICE_J - 1)]
+        assert decompose_product(top) == fold_decompose_product(top) == IrrepSum(
+            tuple((IrrepLabel(tj), 1) for tj in range(2 * MAX_TWICE_J - 1, 0, -2)))
+        # the integer product would need gigabytes; the factor is refused first
+        for tjs in ([MAX_TWICE_J + 1], [1, 2 * 10**9]):
+            with pytest.raises(SpinRangeError, match=rf"^twice_j must be <= {MAX_TWICE_J}, got {tjs[-1]}$"):
+                decompose_product([IrrepLabel(tj) for tj in tjs])
 
 
 class TestContains:

@@ -33,6 +33,7 @@ from hierwave.state_tree import (
     validate_tree,
 )
 from hierwave.physicality import check_node, pauli_check
+from hierwave.rep_theory import MAX_TWICE_J, SpinRangeError
 
 from helpers import (
     amplitudes_close,
@@ -75,6 +76,11 @@ class TestSpinWeight:
     def test_parity(self):
         with pytest.raises(ValueError):
             SpinWeight(2, 1)
+
+    def test_spin_range(self):
+        SpinWeight(MAX_TWICE_J, 0)
+        with pytest.raises(SpinRangeError, match=rf"^twice_j must be <= {MAX_TWICE_J}, got {MAX_TWICE_J + 2}$"):
+            SpinWeight(MAX_TWICE_J + 2, 0)
 
 
 class TestQuantumNumbers:
