@@ -1,6 +1,8 @@
 """Command-line entry point.
 
 Subcommands: decompose, validate, pauli, repair, simulate, classify, info.
+Each subcommand imports only the modules it runs, so that, for example,
+decompose loads rep_theory alone.
 Exit codes: 0 success, 1 domain error (error name printed to stderr),
 2 usage error.
 """
@@ -12,7 +14,8 @@ import json
 import math
 import sys
 
-from . import complexity, dynamics, physicality, repair_cascade, rep_theory, state_tree
+# the most values one --sweep may take: each is a full run and a CSV file
+MAX_SWEEP_COUNT = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="description-length verdict for a value series")
     p.add_argument("--series", required=True, help="CSV file with one column of reals")
     p.add_argument("--quantization", type=float, required=True)
-    p.add_argument("--threshold", type=float, default=complexity.DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=float)  # None: complexity.DEFAULT_THRESHOLD
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("info", help="summarize and structurally validate a state file")
@@ -64,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_decompose(args) -> int:
+    from . import rep_theory
+
     spins = [rep_theory.IrrepLabel(rep_theory.parse_j(tok)) for tok in args.spins.split(",")]
     result = rep_theory.decompose_product(spins)
     for label, mult in result:
@@ -76,6 +81,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import physicality, state_tree
+
     psi = state_tree.load_state(args.state)
     problems = state_tree.validate_tree(psi)
     if problems:
@@ -95,6 +102,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pauli(args) -> int:
+    from . import physicality, state_tree
+
     psi = state_tree.load_state(args.state)
     violations = physicality.pauli_check(psi, scope=args.scope)
     for v in violations:
@@ -105,6 +114,8 @@ def cmd_pauli(args) -> int:
 
 
 def cmd_repair(args) -> int:
+    from . import rep_theory, repair_cascade
+
     org = repair_cascade.load_organism(args.scenario)
     problems = org.validate()
     if problems:
@@ -140,6 +151,8 @@ def _parse_sweep(spec: str):
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("sweep count must be >= 1")
+    if count > MAX_SWEEP_COUNT:
+        raise ValueError(f"sweep count must be <= {MAX_SWEEP_COUNT}, got {count}")
     if count == 1:
         values = [start]
     else:
@@ -148,6 +161,8 @@ def _parse_sweep(spec: str):
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
     cfg = dynamics.load_sim_config(args.config)
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
@@ -185,6 +200,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import complexity
+
     values = []
     with open(args.series, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -199,7 +216,8 @@ def cmd_classify(args) -> int:
                     raise ValueError(f"{args.series}:{lineno}: value {line!r} is not finite")
                 values.append(value)
     series = complexity.MatrixElementSeries(values=tuple(values), quantization=args.quantization)
-    report = complexity.classify(series, threshold=args.threshold)
+    threshold = complexity.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+    report = complexity.classify(series, threshold=threshold)
     print(json.dumps({
         "raw_bits": report.raw_bits,
         "compressed_bits": report.compressed_bits,
@@ -214,6 +232,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from . import state_tree
+
     psi = state_tree.load_state(args.state)
     nodes = list(state_tree.iter_nodes(psi))
     print(f"nodes: {len(nodes)}")

@@ -44,6 +44,11 @@ class LegendreSingularityError(ValueError):
     """dp/dv is not positive: the momentum relation p(v) has no unique inverse."""
 
 
+# The most steps a run may take: run() keeps every sample, about 312 bytes
+# each, so 2e6 steps hold about 0.6 GB.
+MAX_STEPS = 2_000_000
+
+
 @dataclass(frozen=True)
 class HarmonicPotential:
     k: float
@@ -95,6 +100,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.dt * self.steps >= 1e9:
             raise ValueError("dt * steps must stay below 1e9")
         if len(self.spins) != 4 or any(s not in (0.5, -0.5) for s in self.spins):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import prod, sqrt
 
 
 class EmptyProductError(ValueError):
@@ -26,7 +26,11 @@ class InvalidQueryError(ValueError):
 
 
 class SpinRangeError(ValueError):
-    """A spin above MAX_TWICE_J."""
+    """A spin above MAX_TWICE_J, or spin text too long to parse as one."""
+
+
+class ProductSizeError(ValueError):
+    """A tensor product whose weight integer would exceed MAX_PRODUCT_BYTES."""
 
 
 # The largest 2j taken from outside (j = 5000): parse_j, a state's spin labels
@@ -34,6 +38,17 @@ class SpinRangeError(ValueError):
 # decompose_product multiplies has (sum of 2j + 1) * w bytes, so an unbounded
 # spin costs unbounded memory; at the bound, two factors take about 40 ms.
 MAX_TWICE_J = 10_000
+
+# The most characters parse_j reads, and the largest decimal exponent it takes
+# in size: Fraction builds 10**exponent, so "1e10000000" would spend seconds
+# there, and no spin up to MAX_TWICE_J needs either to be larger.
+MAX_SPIN_TEXT = 100
+
+# The most bytes decompose_product's weight integer may take, (sum of 2j + 1) * w.
+# Its cost grows about as the 1.6th power of this size: two spins at
+# MAX_TWICE_J take 80 KB, 1,000 spin-1/2 factors 126 KB and 0.07 s, while
+# 4,000 of them would take 2 MB and about 5 s.
+MAX_PRODUCT_BYTES = 512 * 1024
 
 
 def format_j(twice_j: int) -> str:
@@ -44,16 +59,29 @@ def format_j(twice_j: int) -> str:
 def check_spin_range(twice_j: int) -> None:
     """Raise SpinRangeError if 2j is above MAX_TWICE_J."""
     if twice_j > MAX_TWICE_J:
-        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {twice_j}")
+        # str() of an int above sys.get_int_max_str_digits() digits would raise
+        got = twice_j if twice_j.bit_length() <= 1024 else f"an int of {twice_j.bit_length()} bits"
+        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {got}")
 
 
 def parse_j(text: str) -> int:
-    """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value."""
+    """Parse a spin like "1/2", "1.5" or "2" into its doubled integer value.
+
+    Text longer than MAX_SPIN_TEXT characters, or with a decimal exponent
+    above MAX_SPIN_TEXT in size, raises SpinRangeError before it is parsed.
+    """
     from fractions import Fraction  # here, so that importing hierwave loads no fractions or decimal
 
+    stripped = text.strip()
+    if len(stripped) > MAX_SPIN_TEXT:
+        raise SpinRangeError(f"spin text must be at most {MAX_SPIN_TEXT} characters, got {len(stripped)}")
+    # the digits after an "e", as Fraction would read them; anything else it rejects itself
+    exponent = stripped.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if exponent.isdecimal() and int(exponent) > MAX_SPIN_TEXT:
+        raise SpinRangeError(f"spin exponent must be at most {MAX_SPIN_TEXT} in size, got {stripped!r}")
     message = f"not a valid non-negative (half-)integer spin: {text!r}"
     try:
-        twice = 2 * Fraction(text.strip())
+        twice = 2 * Fraction(stripped)
     except ZeroDivisionError:  # "1/0"
         raise ValueError(message) from None
     if twice.denominator != 1 or twice < 0:
@@ -132,25 +160,26 @@ def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> Irr
     power per distinct dimension, the result having (sum of 2j + 1) * w
     bytes, then one digit read per J in the upper half; no Python-level
     work per (entry, J) pair.  A factor above MAX_TWICE_J raises
-    SpinRangeError.
+    SpinRangeError, and a product above MAX_PRODUCT_BYTES ProductSizeError,
+    before any multiplication of weights.
     """
     if not factors:
         raise EmptyProductError("cannot decompose an empty tensor product")
     groups: dict[int, int] = {}  # dimension -> number of factors
-    dim = 1
     top = 0  # sum of 2j: the highest total weight 2M
     for factor in factors:
         check_spin_range(factor.twice_j)
         d = factor.twice_j + 1
         groups[d] = groups.get(d, 0) + 1
-        dim *= d
         top += d - 1
+    dim = prod(d ** k for d, k in groups.items())  # one power per group: cheap for any factor count
     w = dim.bit_length() // 8 + 1
+    size = (top + 1) * w
+    if size > MAX_PRODUCT_BYTES:
+        raise ProductSizeError(f"the weight product of {len(factors)} factors would take "
+                               f"{size} bytes, above the bound of {MAX_PRODUCT_BYTES}")
     bits = 8 * w
-    digit_mask = (1 << bits) - 1  # X - 1
-    weights = 1
-    for d, k in groups.items():
-        weights *= (((1 << bits * d) - 1) // digit_mask) ** k
+    weights = _weight_product(groups, bits)
     # digit i of the upper half is N(M) at 2M = top % 2 + 2i; walk it from the
     # top down, so the entries come out by descending j, and since the counts
     # fall from M = 0 up, each mult is >= 0
@@ -166,6 +195,16 @@ def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> Irr
     result = IrrepSum(tuple(entries))
     assert result.total_dim == dim, "dimension bookkeeping error"
     return result
+
+
+def _weight_product(groups: dict[int, int], bits: int) -> int:
+    """The product of the repunits (X^d - 1) / (X - 1), each to the power of its
+    count, at X = 2^bits: the weight polynomial of the tensor product."""
+    digit_mask = (1 << bits) - 1  # X - 1
+    weights = 1
+    for d, k in groups.items():
+        weights *= (((1 << bits * d) - 1) // digit_mask) ** k
+    return weights
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
-from hierwave.cli import main
+from hierwave import cli, dynamics, rep_theory
+from hierwave.cli import MAX_SWEEP_COUNT, main
 
 from helpers import chain_state_json
 
@@ -503,3 +507,83 @@ def test_removed_seed_flag_usage_error():
 
 def test_no_arguments_usage_error():
     assert main([]) == 2
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the work started")
+
+
+def test_oversized_steps_is_named_domain_error_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "run", _fail)
+    steps = dynamics.MAX_STEPS + 1
+    assert main(["simulate", "--config", _harmonic_config(tmp_path, steps=steps)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: steps must be <= {dynamics.MAX_STEPS}, got {steps}\n"
+    assert captured.out == ""
+
+
+def test_oversized_sweep_is_named_domain_error_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "run", _fail)
+    count = MAX_SWEEP_COUNT + 1
+    argv = ["simulate", "--config", _harmonic_config(tmp_path), "--out", str(tmp_path / "sweep"),
+            "--sweep", f"m0=1:2:{count}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: sweep count must be <= {MAX_SWEEP_COUNT}, got {count}\n"
+    assert captured.out == "" and not list(tmp_path.glob("sweep_*"))
+
+
+def test_sweep_count_at_the_bound_is_accepted():
+    name, values = cli._parse_sweep(f"m0=1:2:{MAX_SWEEP_COUNT}")
+    assert name == "m0" and len(values) == MAX_SWEEP_COUNT and values[-1] == 2.0
+
+
+@pytest.mark.parametrize("spins, message", [
+    ("1/2,1e10000000", "SpinRangeError: spin exponent must be at most 100 in size, got '1e10000000'"),
+    (",".join(["1/2"] * 4000), "ProductSizeError: the weight product of 4000 factors would take "
+     f"2004501 bytes, above the bound of {rep_theory.MAX_PRODUCT_BYTES}"),
+])
+def test_oversized_decompose_is_named_domain_error_before_the_product(spins, message, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(rep_theory, "_weight_product", _fail)
+    assert main(["decompose", "--spins", spins]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+# print, after the given code, the hierwave submodules that it loaded
+_LOADED = "; print(sorted(m.removeprefix('hierwave.') for m in sys.modules if m.startswith('hierwave.')))"
+
+
+def _loaded_submodules(code, *argv):
+    out = subprocess.run([sys.executable, "-c", code + _LOADED, *argv], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    return out.stdout.splitlines()[-1]
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_submodules("import sys, hierwave") == "[]"
+
+
+_SUBCOMMAND_MODULES = [
+    (["decompose", "--spins", "1/2,1/2"], ["cli", "rep_theory"]),
+    (["validate", "--state", data_path("two_spin_example.json")],
+     ["cli", "physicality", "rep_theory", "state_tree"]),
+    (["pauli", "--state", data_path("two_spin_example.json")],
+     ["cli", "physicality", "rep_theory", "state_tree"]),
+    (["info", "--state", data_path("two_spin_example.json")], ["cli", "rep_theory", "state_tree"]),
+    (["classify", "--series", "{tmp}/s.csv", "--quantization", "0.5"], ["cli", "complexity"]),
+    (["repair", "--scenario", data_path("hydra.json"), "--remove", "1,2"],
+     ["cli", "rep_theory", "repair_cascade"]),
+    (["simulate", "--config", "{tmp}/cfg.json", "--out", "{tmp}/t.csv"], ["cli", "dynamics"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _SUBCOMMAND_MODULES, ids=[a[0] for a, _ in _SUBCOMMAND_MODULES])
+def test_subcommand_imports_only_its_modules(argv, modules, tmp_path):
+    (tmp_path / "s.csv").write_text("".join(f"{k % 7}\n" for k in range(100)))
+    _harmonic_config(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = "import sys; from hierwave import cli; assert cli.main(sys.argv[1:]) == 0"
+    assert _loaded_submodules(code, *argv) == str(modules)

@@ -8,6 +8,7 @@ from hierwave.dynamics import (
     HarmonicPotential,
     LinearSpinCoupling,
     LegendreSingularityError,
+    MAX_STEPS,
     NonpositiveMassError,
     SimConfig,
     SimState,
@@ -49,6 +50,12 @@ class TestConfig:
     def test_runaway_guard(self):
         with pytest.raises(ValueError):
             config(dt=1.0, steps=2 * 10**9)
+
+    def test_steps_bound(self):
+        # run() keeps every sample: the bound holds them to about 0.6 GB
+        assert config(steps=MAX_STEPS).steps == MAX_STEPS
+        with pytest.raises(ValueError, match=rf"^steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"):
+            config(steps=MAX_STEPS + 1)
 
     def test_spin_products(self):
         cfg = config(spins=(0.5, -0.5, 0.5, 0.5))

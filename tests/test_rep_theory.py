@@ -1,9 +1,11 @@
+import fractions
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,7 +16,9 @@ from hierwave.rep_theory import (
     InvalidQueryError,
     IrrepLabel,
     IrrepSum,
+    MAX_PRODUCT_BYTES,
     MAX_TWICE_J,
+    ProductSizeError,
     SpinRangeError,
     clebsch_gordan,
     couple_pair,
@@ -84,6 +88,37 @@ class TestParseJ:
         for text in (f"{MAX_TWICE_J + 1}/2", "1000000000", "1e100"):
             with pytest.raises(SpinRangeError, match=rf"^twice_j must be <= {MAX_TWICE_J}, got \d+$"):
                 parse_j(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1e4300", "spin exponent must be at most 100 in size, got '1e4300'"),
+        ("1e100000", "spin exponent must be at most 100 in size, got '1e100000'"),
+        (" 1e10000000 ", "spin exponent must be at most 100 in size, got '1e10000000'"),
+        ("1E-10000000", "spin exponent must be at most 100 in size, got '1E-10000000'"),
+        ("1e+1_000_000", "spin exponent must be at most 100 in size, got '1e+1_000_000'"),
+        ("1" * 10**5, "spin text must be at most 100 characters, got 100000"),
+    ])
+    def test_oversized_text_rejected_before_fraction(self, text, message, monkeypatch):
+        # each of these once failed inside Fraction or in formatting the error
+        # (CPython's int string-conversion limit), or spent seconds building 10**exponent
+        def fail(*args):
+            raise AssertionError("Fraction was called")
+
+        monkeypatch.setattr(fractions, "Fraction", fail)
+        start = time.perf_counter()
+        with pytest.raises(SpinRangeError, match=f"^{re.escape(message)}$"):
+            parse_j(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_text_bounds_admit_spins_at_their_limits(self):
+        assert parse_j("5e3") == parse_j("5000e0") == parse_j("0.05e5") == MAX_TWICE_J
+        assert parse_j("50e-2") == parse_j(" 0." + "0" * 94 + "5e94 ") == 1
+        assert parse_j(f"{'0' * 99}1") == 2
+        assert parse_j("0e100") == parse_j("0e-100") == 0
+
+    def test_huge_int_error_text_stays_short(self):
+        # str() of a 5,001-digit int would fail at CPython's default 4,300-digit limit
+        with pytest.raises(SpinRangeError, match=rf"^twice_j must be <= {MAX_TWICE_J}, got an int of 16610 bits$"):
+            decompose_product([IrrepLabel(10**5000)])
 
 
 class TestCouplePair:
@@ -202,6 +237,27 @@ class TestWeightCountingDecomposition:
         for tjs in ([MAX_TWICE_J + 1], [1, 2 * 10**9]):
             with pytest.raises(SpinRangeError, match=rf"^twice_j must be <= {MAX_TWICE_J}, got {tjs[-1]}$"):
                 decompose_product([IrrepLabel(tj) for tj in tjs])
+
+
+class TestProductSizeBound:
+    def test_admits_the_sizes_in_use(self):
+        # 1,000 spin-1/2 factors: 126 KB of weight integer; the singlet count is the Catalan number C_500
+        assert decompose_product([IrrepLabel(1)] * 1000).multiplicity(IrrepLabel(0)) == (
+            math.comb(1000, 500) // 501)
+        assert 1001 * (1000 // 8 + 1) < MAX_PRODUCT_BYTES
+
+    def test_rejected_before_any_weight_multiplication(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the weight product was started")
+
+        monkeypatch.setattr(rep_theory, "_weight_product", fail)
+        # 4,000 spin-1/2 factors: (4000 + 1) * (4001 // 8 + 1) bytes, about 5 s to multiply
+        with pytest.raises(ProductSizeError, match=(
+                rf"^the weight product of 4000 factors would take 2004501 bytes, "
+                rf"above the bound of {MAX_PRODUCT_BYTES}$")):
+            decompose_product([IrrepLabel(1)] * 4000)
+        with pytest.raises(ProductSizeError):
+            decompose_product([IrrepLabel(MAX_TWICE_J)] * 30)
 
 
 class TestContains:
