@@ -16,6 +16,8 @@ import sys
 
 # the most values one --sweep may take: each is a full run and a CSV file
 MAX_SWEEP_COUNT = 1000
+# the most characters of a token that fails to parse shown in its error
+_SHOWN = 40
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +124,7 @@ def cmd_repair(args) -> int:
         for msg in problems:
             print(f"scenario invalid: {msg}", file=sys.stderr)
         return 1
-    indices = frozenset(int(tok) for tok in args.remove.split(","))
+    indices = frozenset(_parse(int, tok, "--remove index") for tok in args.remove.split(","))
     remainder = repair_cascade.amputate(org, repair_cascade.RemovalAction(indices))
     result = repair_cascade.repair(remainder, max_depth=args.max_depth)
     if args.format == "human":
@@ -143,12 +145,25 @@ def cmd_repair(args) -> int:
     return 0
 
 
+def _parse(kind, tok: str, what: str):
+    """tok read as kind, int or float; a ValueError names what was read and
+    shows at most _SHOWN characters of tok."""
+    try:
+        return kind(tok)
+    except ValueError:
+        shown = repr(tok) if len(tok) <= _SHOWN else f"{tok[:_SHOWN]!r}... ({len(tok)} characters)"
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {noun}, got {shown}") from None
+
+
 def _parse_sweep(spec: str):
     name, _, grid = spec.partition("=")
     parts = grid.split(":")
     if len(parts) != 3:
         raise ValueError("sweep must look like field=start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start = _parse(float, parts[0], "--sweep start")
+    stop = _parse(float, parts[1], "--sweep stop")
+    count = _parse(int, parts[2], "--sweep count")
     if count < 1:
         raise ValueError("sweep count must be >= 1")
     if count > MAX_SWEEP_COUNT:
@@ -247,7 +262,7 @@ def cmd_info(args) -> int:
     return 0 if not problems else 1
 
 
-_DOMAIN_ERRORS = (ValueError, RuntimeError, OSError)
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def main(argv=None) -> int:

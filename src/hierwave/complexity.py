@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -59,8 +59,7 @@ class MatrixElementSeries:
             )
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     raw_bits: int
     compressed_bits: int
     ratio: float

@@ -112,8 +112,7 @@ class SimConfig:
         return s[0] * s[1] if block == 0 else s[2] * s[3]
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     t: float
     x: tuple[float, float]
     v: tuple[float, float]
@@ -130,8 +129,7 @@ class TrajectorySample(NamedTuple):
     e_total: float
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     samples: list[TrajectorySample]
     error: str | None = None
 
@@ -283,8 +281,8 @@ def run(cfg: SimConfig) -> Trajectory:
     positivity or dp/dv > 0, ends the run: the partial trajectory is
     returned with the error recorded instead of raised.
     """
-    traj = Trajectory(samples=[])
-    append = traj.samples.append
+    samples: list[TrajectorySample] = []
+    append = samples.append
     dt, k = cfg.dt, _stiffness(cfg)
     lam = potential_energy(cfg, (0.0, 0.0))  # the constant kappa*S1*S2 term
     t = 0.0
@@ -302,8 +300,8 @@ def run(cfg: SimConfig) -> Trajectory:
             e = _block_energy(br1, v1) + _block_energy(br2, v2) + (0.5 * k * r * r + lam)
             append(TrajectorySample(t, x1, x2, v1, v2, a1 + b1 * v1 * v1, a2 + b2 * v2 * v2, e))
     except (NonpositiveMassError, LegendreSingularityError) as exc:
-        traj.error = f"{type(exc).__name__}: {exc}"
-    return traj
+        return Trajectory(samples, f"{type(exc).__name__}: {exc}")
+    return Trajectory(samples)
 
 
 CSV_COLUMNS = ("t", "x1", "x2", "v1", "v2", "m1_eff", "m2_eff", "E_total")
@@ -384,7 +382,10 @@ def load_sim_config(path: str) -> SimConfig:
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
-        return sim_config_from_obj(json.load(fh))
+        try:
+            return sim_config_from_obj(json.load(fh))
+        except RecursionError as exc:  # nested too deep to read or to build
+            raise ValueError(f"not a hierwave simulation config: {exc}") from None
 
 
 SWEEP_FIELDS = ("lambda0", "lambda1", "m0", "dt")

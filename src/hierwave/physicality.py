@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 from .rep_theory import IrrepLabel, decompose_product
 from .state_tree import (
@@ -119,8 +120,7 @@ def check_node(psi: HierState) -> list[tuple[str, PhysicalityReport]]:
     return out
 
 
-@dataclass(frozen=True)
-class PauliViolation:
+class PauliViolation(NamedTuple):
     system_path: str
     first: str
     second: str

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
@@ -83,8 +84,7 @@ class RemovalAction:
             raise ValueError("component indices must be non-negative")
 
 
-@dataclass(frozen=True)
-class Remainder:
+class Remainder(NamedTuple):
     """What is left after an amputation; ``complete`` records whether the
     remaining product still contains the target irrep."""
 
@@ -93,8 +93,7 @@ class Remainder:
     complete: bool
 
 
-@dataclass(frozen=True)
-class CascadeStep:
+class CascadeStep(NamedTuple):
     depth: int
     component_names: tuple[str, ...]
     product: IrrepSum
@@ -102,13 +101,18 @@ class CascadeStep:
     rebuilt: bool
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     feasible: bool
     levels_descended: int
     steps: tuple[CascadeStep, ...]
     cost: int
     witness_irreps: tuple[IrrepLabel, ...]
+
+
+def _remainder(target: IrrepLabel, components: tuple[ComponentSpec, ...]) -> Remainder:
+    """The remainder of components, complete when their product contains target."""
+    product = decompose_product([c.irrep for c in components])
+    return Remainder(target, components, product.multiplicity(target) >= 1)
 
 
 def amputate(org: Organism, gamma: RemovalAction) -> Remainder:
@@ -121,12 +125,7 @@ def amputate(org: Organism, gamma: RemovalAction) -> Remainder:
     )
     if not remaining:
         raise EmptyRemainderError("all components removed")
-    product = decompose_product([c.irrep for c in remaining])
-    return Remainder(
-        target_irrep=org.target_irrep,
-        components=remaining,
-        complete=product.multiplicity(org.target_irrep) >= 1,
-    )
+    return _remainder(org.target_irrep, remaining)
 
 
 def repair(remainder: Remainder, max_depth: int) -> CascadeResult:
@@ -135,6 +134,7 @@ def repair(remainder: Remainder, max_depth: int) -> CascadeResult:
     At each depth the product of the current component irreps is checked
     for the target; on failure every component owning subcomponents is
     replaced by them and the check repeats, up to ``max_depth`` descents.
+    The cascade stops early when no component has subcomponents.
     Cost counts subcomponents materialized across all descents.
     """
     if max_depth < 0:
@@ -142,38 +142,16 @@ def repair(remainder: Remainder, max_depth: int) -> CascadeResult:
     comps = list(remainder.components)
     steps: list[CascadeStep] = []
     cost = 0
-    depth = 0
-    while True:
+    for depth in range(max_depth + 1):
         product = decompose_product([c.irrep for c in comps])
         mult = product.multiplicity(remainder.target_irrep)
-        steps.append(
-            CascadeStep(
-                depth=depth,
-                component_names=tuple(c.name for c in comps),
-                product=product,
-                target_multiplicity=mult,
-                rebuilt=mult >= 1,
-            )
-        )
-        witness = tuple(c.irrep for c in comps)
-        if mult >= 1:
-            return CascadeResult(True, depth, tuple(steps), cost, witness)
-        if depth == max_depth:
-            return CascadeResult(False, max_depth, tuple(steps), cost, witness)
-        nxt: list[ComponentSpec] = []
-        descended = False
-        for c in comps:
-            if c.subcomponents:
-                nxt.extend(c.subcomponents)
-                cost += len(c.subcomponents)
-                descended = True
-            else:
-                nxt.append(c)
-        if not descended:
-            # nothing below this level; the cascade is stuck early
-            return CascadeResult(False, depth, tuple(steps), cost, witness)
-        comps = nxt
-        depth += 1
+        steps.append(CascadeStep(depth, tuple(c.name for c in comps), product, mult, mult >= 1))
+        n_sub = sum(len(c.subcomponents) for c in comps)
+        if mult >= 1 or depth == max_depth or not n_sub:
+            break
+        cost += n_sub
+        comps = [s for c in comps for s in c.subcomponents or (c,)]
+    return CascadeResult(mult >= 1, depth, tuple(steps), cost, tuple(c.irrep for c in comps))
 
 
 def ionize_recombine(
@@ -201,14 +179,7 @@ def ionize_recombine(
         name=f"{removed.name}'",
         irrep=replacement_irrep if replacement_irrep is not None else removed.irrep,
     )
-    restored_components = broken.components + (fresh,)
-    product = decompose_product([c.irrep for c in restored_components])
-    restored = Remainder(
-        target_irrep=atom.target_irrep,
-        components=restored_components,
-        complete=product.multiplicity(atom.target_irrep) >= 1,
-    )
-    return broken, restored
+    return broken, _remainder(atom.target_irrep, broken.components + (fresh,))
 
 
 # --- JSON scenario files ------------------------------------------------------
@@ -253,4 +224,7 @@ def organism_from_obj(obj: dict) -> Organism:
 
 def load_organism(path: str) -> Organism:
     with open(path, "r", encoding="utf-8") as fh:
-        return organism_from_obj(json.load(fh))
+        try:
+            return organism_from_obj(json.load(fh))
+        except RecursionError as exc:  # nested too deep to read or to build
+            raise ValueError(f"not a hierwave scenario: {exc}") from None

@@ -14,7 +14,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .rep_theory import check_spin_range
 
@@ -48,6 +48,11 @@ class SpinWeight:
     twice_m: int
 
     def __post_init__(self) -> None:
+        # exact ints only, as in IrrepLabel: a float or bool would pass as an equal label
+        if type(self.twice_j) is not int:
+            raise ValueError(f"twice_j must be an int, got {self.twice_j!r}")
+        if type(self.twice_m) is not int:
+            raise ValueError(f"twice_m must be an int, got {self.twice_m!r}")
         if self.twice_j < 0:
             raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
         check_spin_range(self.twice_j)
@@ -62,6 +67,10 @@ class Point:
     """Discrete coordinate label on a spatial-type group."""
 
     index: int
+
+    def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            raise ValueError(f"index must be an int, got {self.index!r}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,7 @@ class HierState:
         return hash(tuple(_preorder(self)))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     path: str
     message: str
 

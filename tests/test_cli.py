@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -587,3 +588,80 @@ def test_subcommand_imports_only_its_modules(argv, modules, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     code = "import sys; from hierwave import cli; assert cli.main(sys.argv[1:]) == 0"
     assert _loaded_submodules(code, *argv) == str(modules)
+
+
+_LONG = "9" * 5000  # beyond CPython's 4,300-digit limit for int()
+_SHOWN = "'" + "9" * 40 + "'... (5000 characters)"
+
+
+@pytest.mark.parametrize("remove, message", [
+    ("abc", "--remove index must be an integer, got 'abc'"),
+    ("1,2.0", "--remove index must be an integer, got '2.0'"),
+    (_LONG, f"--remove index must be an integer, got {_SHOWN}"),
+])
+def test_bad_remove_index_names_the_option(remove, message, capsys):
+    assert main(["repair", "--scenario", data_path("hydra.json"), "--remove", remove]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("x:1:2", "--sweep start must be a number, got 'x'"),
+    ("0::2", "--sweep stop must be a number, got ''"),
+    ("0:1:2.5", "--sweep count must be an integer, got '2.5'"),
+    (f"0:1:{_LONG}", f"--sweep count must be an integer, got {_SHOWN}"),
+    (f"0:1:{'x' * 41}", f"--sweep count must be an integer, got '{'x' * 40}'... (41 characters)"),
+])
+def test_bad_sweep_value_names_the_option(grid, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "run", _fail)
+    argv = ["simulate", "--config", _harmonic_config(tmp_path), "--out", str(tmp_path / "sweep"),
+            "--sweep", f"m0={grid}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {message}\n"
+    assert captured.out == "" and not list(tmp_path.glob("sweep_*"))
+
+
+def _deep_scenario(levels):
+    """hydra's target and a second part nested `levels` subcomponents deep."""
+    part = '{"name": "p", "irrep": "1/2", "subcomponents": ['
+    return ('{"target": "0", "components": [{"name": "x", "irrep": "1/2"}, '
+            + part * levels + '{"name": "leaf", "irrep": "1/2"}' + "]}" * levels + "]}")
+
+
+def test_too_deep_scenario_is_named_domain_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_deep_scenario(600))
+    assert main(["repair", "--scenario", str(path), "--remove", "0"]) == 1
+    assert capsys.readouterr().err == ("error: ValueError: not a hierwave scenario: maximum recursion "
+                                       "depth exceeded while decoding a JSON array from a unicode string\n")
+
+
+def test_scenario_depths_near_the_limit_load_or_fail_by_name(tmp_path):
+    # around the limit, reading the JSON or building the components runs out of stack first
+    from hierwave.repair_cascade import load_organism
+
+    path = tmp_path / "deep.json"
+    loaded = set()
+    for levels in range(440, 521):
+        path.write_text(_deep_scenario(levels))
+        try:
+            load_organism(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith("not a hierwave scenario: maximum recursion depth exceeded")
+            loaded.add(False)
+        else:
+            loaded.add(True)
+    assert loaded == {True, False}
+
+
+def test_too_deep_config_value_is_named_domain_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "run", _fail)
+    path = tmp_path / "cfg.json"
+    path.write_text(Path(_harmonic_config(tmp_path)).read_text()
+                    .replace('"m0": 1.0', '"m0": ' + "[" * 2000 + "1" + "]" * 2000))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: ValueError: not a hierwave simulation config: maximum "
+                                       "recursion depth exceeded while decoding a JSON array from a "
+                                       "unicode string\n")

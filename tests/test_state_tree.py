@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -407,3 +408,30 @@ def test_dominant_label_tie_breaks_low_index():
     assert dominant_label(NodeWave(level, (0.25, 0.5, -0.5))) == Named("b")
     level = HierarchyLevel(0, SU2, (Named("a"), Named("b"), Named("c"), Named("d")))
     assert dominant_label(NodeWave(level, (1, 3 + 4j, 5, -5j))) == Named("b")
+
+
+@pytest.mark.parametrize("twice_j, twice_m, message", [
+    (2.5, 0.5, "twice_j must be an int, got 2.5"),
+    (2.0, 0, "twice_j must be an int, got 2.0"),
+    (True, True, "twice_j must be an int, got True"),
+    (math.inf, 0, "twice_j must be an int, got inf"),
+    (1e300, 0, "twice_j must be an int, got 1e+300"),
+    (1, 1.0, "twice_m must be an int, got 1.0"),
+    (1, False, "twice_m must be an int, got False"),
+])
+def test_spin_weight_takes_exact_ints(twice_j, twice_m, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        SpinWeight(twice_j, twice_m)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, "x", True, None])
+def test_point_takes_exact_ints(index):
+    with pytest.raises(ValueError, match=rf"^index must be an int, got {re.escape(repr(index))}$"):
+        Point(index)
+
+
+def test_integral_floats_in_a_state_file_still_load():
+    label = {"type": "spin", "twice_j": 1.0, "twice_m": -1.0}
+    obj = {"level": 0, "group": TRANSLATION_1D, "amplitudes": [[1.0, 0.0], [0.0, 0.0]],
+           "basis": [label, {"type": "point", "index": 3.0}]}
+    assert state_from_obj(obj).wave.level.basis == (SpinWeight(1, -1), Point(3))
