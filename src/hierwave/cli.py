@@ -18,6 +18,8 @@ import sys
 MAX_SWEEP_COUNT = 1000
 # the most characters of a token that fails to parse shown in its error
 _SHOWN = 40
+# the most characters of a domain error's message printed to stderr
+MAX_ERROR_CHARS = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,6 +178,8 @@ def _parse_sweep(spec: str):
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
     from . import dynamics
 
     cfg = dynamics.load_sim_config(args.config)
@@ -188,7 +192,7 @@ def cmd_simulate(args) -> int:
         print(f"{name},max_energy_drift,error")
         for value in values:
             try:
-                swept = dynamics.with_override(cfg, name, value)
+                swept = replace(cfg, **{name: value})
             except ValueError as exc:  # SimConfig rejects the value: an empty trajectory
                 traj = dynamics.Trajectory([], f"{type(exc).__name__}: {exc}")
             else:
@@ -274,7 +278,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > MAX_ERROR_CHARS:
+            message = f"{message[:MAX_ERROR_CHARS]}... ({len(message)} characters)"
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -32,7 +32,7 @@ which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -389,9 +389,3 @@ def load_sim_config(path: str) -> SimConfig:
 
 
 SWEEP_FIELDS = ("lambda0", "lambda1", "m0", "dt")
-
-
-def with_override(cfg: SimConfig, field_name: str, value: float) -> SimConfig:
-    if field_name not in SWEEP_FIELDS:
-        raise ValueError(f"cannot sweep over field {field_name!r}")
-    return replace(cfg, **{field_name: value})

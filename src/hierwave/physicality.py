@@ -10,7 +10,6 @@ are never compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
@@ -33,59 +32,30 @@ class Reason(Enum):
     UNSUPPORTED_GROUP = "UnsupportedGroup"
 
 
-class ArityMismatchError(ValueError):
-    """Child weight list and child spin list disagree in length."""
-
-
-@dataclass(frozen=True)
-class CoupledLabel:
-    """A coupled basis state: total irrep J, total weight M, and the weights
-    of the components it was built from (all weights as doubled integers)."""
-
-    j: IrrepLabel
-    twice_m: int
-    child_twice_ms: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "child_twice_ms", tuple(self.child_twice_ms))
-        if abs(self.twice_m) > self.j.twice_j:
-            raise ValueError(f"|M| > J: 2M={self.twice_m}, 2J={self.j.twice_j}")
-        if (self.twice_m - self.j.twice_j) % 2 != 0:
-            raise ValueError(f"M/J parity mismatch: 2M={self.twice_m}, 2J={self.j.twice_j}")
-
-
-@dataclass(frozen=True)
-class PhysicalityReport:
-    physical: bool
+class PhysicalityReport(NamedTuple):
     reasons: tuple[Reason, ...]
     parent_multiplicity: int
 
-    def __post_init__(self) -> None:
-        assert self.physical == (len(self.reasons) == 0)
+    @property
+    def physical(self) -> bool:
+        return not self.reasons
 
 
-def check_basis_state(parent: CoupledLabel, child_spins: list[IrrepLabel]) -> PhysicalityReport:
-    """Decide whether a coupled parent label can arise from the given children.
+def check_basis_state(parent: SpinWeight, children: list[SpinWeight]) -> PhysicalityReport:
+    """Decide whether the parent label (J, M) can arise from the children's
+    labels (j_i, m_i).
 
-    Physical iff the parent irrep occurs in the decomposition of the
-    children's tensor product and the parent weight is the sum of the
-    child weights.
+    Physical iff J occurs in the decomposition of the children's tensor
+    product and M is the sum of the children's weights.
     """
-    if len(parent.child_twice_ms) != len(child_spins):
-        raise ArityMismatchError(
-            f"{len(parent.child_twice_ms)} child weights vs {len(child_spins)} child spins"
-        )
-    for tm, spin in zip(parent.child_twice_ms, child_spins):
-        if abs(tm) > spin.twice_j or (tm - spin.twice_j) % 2 != 0:
-            raise ValueError(f"child weight 2m={tm} invalid for spin 2j={spin.twice_j}")
-
     reasons: list[Reason] = []
-    mult = decompose_product(list(child_spins)).multiplicity(parent.j)
+    mult = decompose_product([IrrepLabel(c.twice_j) for c in children]).multiplicity(
+        IrrepLabel(parent.twice_j))
     if mult == 0:
         reasons.append(Reason.PARENT_IRREP_ABSENT)
-    if parent.twice_m != sum(parent.child_twice_ms):
+    if parent.twice_m != sum(c.twice_m for c in children):
         reasons.append(Reason.WEIGHT_MISMATCH)
-    return PhysicalityReport(not reasons, tuple(reasons), mult)
+    return PhysicalityReport(tuple(reasons), mult)
 
 
 def _spin_node(node: HierState) -> SpinWeight | None:
@@ -105,18 +75,12 @@ def check_node(psi: HierState) -> list[tuple[str, PhysicalityReport]]:
     for path, node in iter_nodes(psi):
         if not node.children:
             continue
-        parent_label = _spin_node(node)
-        child_labels = [_spin_node(c) for c in node.children]
-        if parent_label is None or any(c is None for c in child_labels):
-            out.append((path, PhysicalityReport(False, (Reason.UNSUPPORTED_GROUP,), 0)))
-            continue
-        parent = CoupledLabel(
-            j=IrrepLabel(parent_label.twice_j),
-            twice_m=parent_label.twice_m,
-            child_twice_ms=tuple(c.twice_m for c in child_labels),
-        )
-        spins = [IrrepLabel(c.twice_j) for c in child_labels]
-        out.append((path, check_basis_state(parent, spins)))
+        parent = _spin_node(node)
+        children = [_spin_node(c) for c in node.children]
+        if parent is None or any(c is None for c in children):
+            out.append((path, PhysicalityReport((Reason.UNSUPPORTED_GROUP,), 0)))
+        else:
+            out.append((path, check_basis_state(parent, children)))
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
 from typing import Sequence
@@ -12,8 +13,8 @@ import numpy as np
 
 from hierwave.complexity import _first_appearance, _gamma_len, _zigzag, dictionary_header_bits
 from hierwave.dynamics import SimConfig, momentum
-from hierwave.physicality import PauliViolation
-from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum
+from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
+from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product
 from hierwave.state_tree import (
     FERMION,
     HierarchyLevel,
@@ -216,6 +217,38 @@ def reference_pauli_check(psi: HierState, scope: int) -> list[PauliViolation]:
                         PauliViolation(path, fermions[a][0], fermions[b][0], repr(fermions[a][1]))
                     )
     return violations
+
+
+@dataclass(frozen=True)
+class CoupledLabel:
+    """A coupled basis state: total irrep J, total weight M, and the weights
+    of the components it was built from (all weights as doubled integers)."""
+
+    j: IrrepLabel
+    twice_m: int
+    child_twice_ms: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if abs(self.twice_m) > self.j.twice_j or (self.twice_m - self.j.twice_j) % 2 != 0:
+            raise ValueError(f"invalid weight 2M={self.twice_m} for 2J={self.j.twice_j}")
+
+
+def reference_check_basis_state(parent: CoupledLabel, child_spins: list[IrrepLabel]) -> PhysicalityReport:
+    """check_basis_state on a CoupledLabel and one IrrepLabel per child, with
+    the child count and each child weight checked again: the form before the
+    check took the tree's own SpinWeight labels."""
+    if len(parent.child_twice_ms) != len(child_spins):
+        raise ValueError(f"{len(parent.child_twice_ms)} child weights vs {len(child_spins)} child spins")
+    for tm, spin in zip(parent.child_twice_ms, child_spins):
+        if abs(tm) > spin.twice_j or (tm - spin.twice_j) % 2 != 0:
+            raise ValueError(f"child weight 2m={tm} invalid for spin 2j={spin.twice_j}")
+    reasons = []
+    mult = decompose_product(list(child_spins)).multiplicity(parent.j)
+    if mult == 0:
+        reasons.append(Reason.PARENT_IRREP_ABSENT)
+    if parent.twice_m != sum(parent.child_twice_ms):
+        reasons.append(Reason.WEIGHT_MISMATCH)
+    return PhysicalityReport(tuple(reasons), mult)
 
 
 def reference_scalar_mul(a: complex, psi: HierState) -> HierState:

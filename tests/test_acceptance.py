@@ -18,7 +18,7 @@ from hierwave.dynamics import (
     momentum,
     run,
 )
-from hierwave.physicality import CoupledLabel, Reason, check_basis_state, pauli_check
+from hierwave.physicality import Reason, check_basis_state, pauli_check
 from hierwave.rep_theory import (
     CGQuery,
     IrrepLabel,
@@ -50,13 +50,9 @@ def criterion(num, desc):
     print(f"\nACCEPTANCE {num} PASS: {desc}")
 
 
-HALF = IrrepLabel(1)
-
-
 def test_criterion_1_two_spin_example():
     with criterion(1, "two spin-1/2 worked example reproduced exactly"):
         start = time.perf_counter()
-        spins = [HALF, HALF]
         physical_states = set()
         admissible = {}
         for tm1, tm2 in itertools.product((1, -1), repeat=2):
@@ -66,7 +62,7 @@ def test_criterion_1_two_spin_example():
                     if abs(tM) > tJ:
                         continue
                     report = check_basis_state(
-                        CoupledLabel(IrrepLabel(tJ), tM, (tm1, tm2)), spins
+                        SpinWeight(tJ, tM), [SpinWeight(1, tm1), SpinWeight(1, tm2)]
                     )
                     if report.physical:
                         ok_js.append(tJ)
@@ -83,7 +79,7 @@ def test_criterion_1_two_spin_example():
         assert admissible[(-2, (-1, -1))] == {2}
         assert admissible[(0, (1, -1))] == {0, 2}
         assert admissible[(0, (-1, 1))] == {0, 2}
-        impossible = check_basis_state(CoupledLabel(IrrepLabel(2), -2, (1, 1)), spins)
+        impossible = check_basis_state(SpinWeight(2, -2), [SpinWeight(1, 1), SpinWeight(1, 1)])
         assert not impossible.physical
         assert impossible.reasons == (Reason.WEIGHT_MISMATCH,)
         assert time.perf_counter() - start < 1.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hierwave import cli, dynamics, rep_theory
-from hierwave.cli import MAX_SWEEP_COUNT, main
+from hierwave.cli import MAX_ERROR_CHARS, MAX_SWEEP_COUNT, main
 
 from helpers import chain_state_json
 
@@ -665,3 +665,36 @@ def test_too_deep_config_value_is_named_domain_error(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == ("error: ValueError: not a hierwave simulation config: maximum "
                                        "recursion depth exceeded while decoding a JSON array from a "
                                        "unicode string\n")
+
+
+
+# each builds a command whose domain error message is longer than MAX_ERROR_CHARS,
+# and returns it with that message
+def _nested_m0(tmp_path):
+    m0 = json.loads("[" * 900 + "]" * 900)
+    argv = ["simulate", "--config", _harmonic_config(tmp_path, m0=m0)]
+    return argv, f"m0 must be a number, got {m0!r}"
+
+
+def _long_sweep_count(tmp_path):
+    count = "9" * 4000
+    argv = ["simulate", "--config", _harmonic_config(tmp_path), "--out", str(tmp_path / "sweep"),
+            "--sweep", f"m0=0:1:{count}"]
+    return argv, f"sweep count must be <= {MAX_SWEEP_COUNT}, got {count}"
+
+
+def _long_classify_line(tmp_path):
+    path, line = tmp_path / "s.csv", "a" * 100_000
+    path.write_text(line + "\n")
+    argv = ["classify", "--series", str(path), "--quantization", "0.1"]
+    return argv, f"{path}:1: value {line!r} is not a number"
+
+
+@pytest.mark.parametrize("case", [_nested_m0, _long_sweep_count, _long_classify_line])
+def test_long_error_message_is_cut(case, tmp_path, capsys):
+    argv, full = case(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(full) > MAX_ERROR_CHARS
+    assert err == f"error: ValueError: {full[:MAX_ERROR_CHARS]}... ({len(full)} characters)\n"
+    assert len(err) < MAX_ERROR_CHARS + 50 and "Traceback" not in err

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from hierwave.physicality import (
-    ArityMismatchError,
-    CoupledLabel,
+    PhysicalityReport,
     Reason,
     check_basis_state,
     check_node,
@@ -24,35 +23,37 @@ from hierwave.state_tree import (
     SU2,
 )
 
-from helpers import chain_state, reference_pauli_check, two_spin_state
+from helpers import (
+    CoupledLabel,
+    chain_state,
+    reference_check_basis_state,
+    reference_pauli_check,
+    two_spin_state,
+)
 
 HALF = IrrepLabel(1)
 
 
-def coupled(tJ, tM, child_ms):
-    return CoupledLabel(IrrepLabel(tJ), tM, tuple(child_ms))
+def labels(spins, child_ms):
+    return [SpinWeight(s.twice_j, tm) for s, tm in zip(spins, child_ms)]
 
 
 class TestCheckBasisState:
     def test_triplet_top_physical(self):
-        report = check_basis_state(coupled(2, 2, (1, 1)), [HALF, HALF])
+        report = check_basis_state(SpinWeight(2, 2), labels([HALF, HALF], (1, 1)))
         assert report.physical
         assert report.reasons == ()
         assert report.parent_multiplicity == 1
 
     def test_weight_mismatch(self):
-        report = check_basis_state(coupled(2, -2, (1, 1)), [HALF, HALF])
+        report = check_basis_state(SpinWeight(2, -2), labels([HALF, HALF], (1, 1)))
         assert not report.physical
         assert report.reasons == (Reason.WEIGHT_MISMATCH,)
 
     def test_parent_irrep_absent(self):
-        report = check_basis_state(coupled(3, 1, (1, -1)), [HALF, HALF])
+        report = check_basis_state(SpinWeight(3, 1), labels([HALF, HALF], (1, -1)))
         assert not report.physical
         assert Reason.PARENT_IRREP_ABSENT in report.reasons
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
-            check_basis_state(coupled(2, 2, (1, 1)), [HALF])
 
     def test_permutation_invariance(self):
         rng = random.Random(9)
@@ -63,11 +64,11 @@ class TestCheckBasisState:
             top = sum(s.twice_j for s in spins)
             tJ = rng.choice(range(top % 2, top + 1, 2))
             tM = rng.choice(range(-tJ, tJ + 1, 2))
-            base = check_basis_state(coupled(tJ, tM, ms), spins)
+            base = check_basis_state(SpinWeight(tJ, tM), labels(spins, ms))
             perm = list(range(n))
             rng.shuffle(perm)
             shuffled = check_basis_state(
-                coupled(tJ, tM, [ms[i] for i in perm]), [spins[i] for i in perm]
+                SpinWeight(tJ, tM), labels([spins[i] for i in perm], [ms[i] for i in perm])
             )
             assert base == shuffled
 
@@ -83,11 +84,41 @@ class TestCheckBasisState:
                 tJ = label.twice_j
                 for tM in range(-tJ, tJ + 1, 2):
                     found = any(
-                        check_basis_state(coupled(tJ, tM, ms), spins).physical
+                        check_basis_state(SpinWeight(tJ, tM), labels(spins, ms)).physical
                         for ms in itertools.product((1, -1), repeat=n)
                         if sum(ms) == tM
                     )
                     assert found, (n, tJ, tM)
+
+    def test_matches_coupled_label_reference(self):
+        # up to 3 children with 2j <= 2, every child weight, and every valid
+        # (J, M) up to 2J = sum(2j) + 2: J of the wrong parity or above the
+        # top exercises ParentIrrepAbsent
+        cases = 0
+        for n in (1, 2, 3):
+            for tjs in itertools.product(range(3), repeat=n):
+                spins = [IrrepLabel(tj) for tj in tjs]
+                for ms in itertools.product(*(range(-tj, tj + 1, 2) for tj in tjs)):
+                    children = labels(spins, ms)
+                    for tJ in range(sum(tjs) + 3):
+                        for tM in range(-tJ, tJ + 1, 2):
+                            want = reference_check_basis_state(
+                                CoupledLabel(IrrepLabel(tJ), tM, ms), spins)
+                            got = check_basis_state(SpinWeight(tJ, tM), children)
+                            assert got == want, (tjs, ms, tJ, tM)
+                            cases += 1
+        assert cases == 6999
+
+
+def test_physicality_report_fields():
+    report = PhysicalityReport((Reason.WEIGHT_MISMATCH,), 1)
+    assert PhysicalityReport._fields == ("reasons", "parent_multiplicity")
+    assert report == ((Reason.WEIGHT_MISMATCH,), 1)
+    assert not report.physical
+    assert PhysicalityReport((), 1).physical
+    for name in ("reasons", "parent_multiplicity", "physical"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
 
 
 class TestCheckNode:
