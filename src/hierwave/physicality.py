@@ -72,11 +72,15 @@ def check_node(psi: HierState) -> list[tuple[str, PhysicalityReport]]:
     is O(depth) characters long, so a depth-d chain returns O(d^2)
     characters (at d = 10^4, peak RSS rises from 22 to 121 MB)."""
     out: list[tuple[str, PhysicalityReport]] = []
+    # each node's label is found once, by its parent, and waits on this stack
+    # until the pre-order walk reaches the node; a lone leaf needs none
+    pending = [_spin_node(psi) if psi.children else None]
     for path, node in iter_nodes(psi):
+        parent = pending.pop()
         if not node.children:
             continue
-        parent = _spin_node(node)
         children = [_spin_node(c) for c in node.children]
+        pending.extend(reversed(children))
         if parent is None or any(c is None for c in children):
             out.append((path, PhysicalityReport((Reason.UNSUPPORTED_GROUP,), 0)))
         else:

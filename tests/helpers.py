@@ -549,3 +549,59 @@ def fraction_cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) 
         return 0.0
     sign = 1.0 if total > 0 else -1.0
     return sign * sqrt(float(pref * total * total))
+
+
+# Factorial-form reference for hierwave.rep_theory._cg_value: the integer Racah
+# sum the binomial form replaced, one big-integer division per term.
+
+_REF_FACT = [1]  # _REF_FACT[n] == n!, extended on demand
+
+
+def _ref_factorials(n: int) -> list[int]:
+    for i in range(len(_REF_FACT), n + 1):
+        _REF_FACT.append(_REF_FACT[-1] * i)
+    return _REF_FACT
+
+
+def reference_cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """<j1 m1 j2 m2 | J M> for a valid query (doubled integers), from Racah's
+    sum over k of (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!) times the
+    common denominator D, with the -m member of each pair taking the
+    (-1)^(j1+j2-J) phase: the factorial form before the binomial one."""
+    if tM != tm1 + tm2:
+        return 0.0
+    if not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
+        return 0.0
+    if (tj1 + tj2 + tJ) % 2 != 0:
+        return 0.0
+    if tM < 0 or (tM == 0 and tm1 < 0):
+        v = reference_cg_value(tj1, -tm1, tj2, -tm2, tJ, -tM)
+        return -v if v and (tj1 + tj2 - tJ) % 4 else v
+
+    a = (tj1 + tj2 - tJ) // 2
+    b = (tj1 - tm1) // 2
+    c = (tj2 + tm2) // 2
+    d = (tJ - tj2 + tm1) // 2
+    e = (tJ - tj1 - tm2) // 2
+    k_min = max(0, -d, -e)
+    k_max = min(a, b, c)
+    f = _ref_factorials((tj1 + tj2 + tJ) // 2 + 1)
+    D = f[k_max] * f[a - k_min] * f[b - k_min] * f[c - k_min] * f[d + k_max] * f[e + k_max]
+    S = 0
+    for k in range(k_min, k_max + 1):
+        term = D // (f[k] * f[a - k] * f[b - k] * f[c - k] * f[d + k] * f[e + k])
+        S += -term if k % 2 else term
+    if S == 0:
+        return 0.0
+
+    num = (
+        (tJ + 1)
+        * f[a] * f[(tj1 - tj2 + tJ) // 2] * f[(tj2 - tj1 + tJ) // 2]
+        * f[(tJ + tM) // 2] * f[(tJ - tM) // 2]
+        * f[b] * f[(tj1 + tm1) // 2]
+        * f[(tj2 - tm2) // 2] * f[c]
+        * S * S
+    )
+    den = f[(tj1 + tj2 + tJ) // 2 + 1] * D * D
+    value = sqrt(num / den)
+    return value if S > 0 else -value

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hierwave import physicality
 from hierwave.physicality import (
     PhysicalityReport,
     Reason,
@@ -21,6 +22,7 @@ from hierwave.state_tree import (
     NodeWave,
     SpinWeight,
     SU2,
+    dominant_label,
 )
 
 from helpers import (
@@ -149,6 +151,19 @@ class TestCheckNode:
         psi = HierState(NodeWave(level, (1.0, 0.0)), (child,))
         [(_, report)] = check_node(psi)
         assert report.reasons == (Reason.UNSUPPORTED_GROUP,)
+
+    def test_finds_each_dominant_label_once(self, monkeypatch):
+        calls = []
+
+        def counting(wave):
+            calls.append(wave)
+            return dominant_label(wave)
+
+        monkeypatch.setattr(physicality, "dominant_label", counting)
+        psi = chain_state(100, n_leaves=2)
+        reports = check_node(psi)
+        assert len(reports) == 100
+        assert len(calls) == 102  # 100 chain nodes and 2 leaves
 
 
 def fermion_leaf(level_index, tm, qn=(1, 0, 0), name="e"):

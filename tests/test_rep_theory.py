@@ -32,6 +32,7 @@ from helpers import (
     fold_decompose_product,
     fraction_cg_value,
     irrep_multiplicities_by_weights,
+    reference_cg_value,
     weight_multiplicities,
 )
 
@@ -385,6 +386,42 @@ class TestIntegerRacahSum:
             zeros += got == 0.0
             nonzeros += got != 0.0
         assert zeros > 300 and nonzeros > 1500
+
+
+class TestBinomialRacahSum:
+    """The binomial form returns the very double of the factorial form it replaced."""
+
+    def test_every_small_query_bit_identical(self):
+        checked = 0
+        for tj1 in range(13):
+            for tj2 in range(13):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        tM = tm1 + tm2
+                        for tJ in range(max(abs(tj1 - tj2), abs(tM)), tj1 + tj2 + 1, 2):
+                            q = (tj1, tm1, tj2, tm2, tJ, tM)
+                            assert clebsch_gordan(CGQuery(*q)).hex() == reference_cg_value(*q).hex(), q
+                            checked += 1
+        assert checked == 45045
+
+    def test_random_queries_bit_identical(self):
+        rng = random.Random(1402)
+        for _ in range(2000):
+            tj1, tj2 = rng.randint(0, 200), rng.randint(0, 200)
+            tm1 = rng.randrange(-tj1, tj1 + 1, 2)
+            tm2 = rng.randrange(-tj2, tj2 + 1, 2)
+            tM = tm1 + tm2
+            tJ = rng.randrange(max(abs(tj1 - tj2), abs(tM)), tj1 + tj2 + 1, 2)
+            q = (tj1, tm1, tj2, tm2, tJ, tM)
+            assert clebsch_gordan(CGQuery(*q)).hex() == reference_cg_value(*q).hex(), q
+
+    def test_closed_forms_at_2j_1000(self):
+        # <j m j -m | 0 0> = (-1)^(j-m) / sqrt(2j+1) and the stretched <j j j j | 2j 2j> = 1
+        tj = 1000
+        for tm in range(-tj, tj + 1, 2):
+            expected = math.sqrt(1 / (tj + 1)) * (-1) ** ((tj - tm) // 2)
+            assert clebsch_gordan(CGQuery(tj, tm, tj, -tm, 0, 0)) == expected, tm
+        assert clebsch_gordan(CGQuery(tj, tj, tj, tj, 2 * tj, 2 * tj)) == 1.0
 
 
 def _table(tj1, tj2):

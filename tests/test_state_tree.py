@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -34,7 +35,7 @@ from hierwave.state_tree import (
     validate_tree,
 )
 from hierwave.physicality import check_node, pauli_check
-from hierwave.rep_theory import MAX_TWICE_J, SpinRangeError
+from hierwave.rep_theory import MAX_TWICE_J, IrrepLabel, SpinRangeError
 
 from helpers import (
     amplitudes_close,
@@ -428,6 +429,15 @@ def test_spin_weight_takes_exact_ints(twice_j, twice_m, message):
 def test_point_takes_exact_ints(index):
     with pytest.raises(ValueError, match=rf"^index must be an int, got {re.escape(repr(index))}$"):
         Point(index)
+
+
+def test_labels_of_different_types_never_equal():
+    # a label made a NamedTuple would equal, and hash like, any tuple of its
+    # items: Point(3) would collide with IrrepLabel(3) as a dict key
+    values = [Point(3), IrrepLabel(3), (3,), 3, SpinWeight(1, 1), (1, 1), Named("x"), "x", ("x",)]
+    for a, b in itertools.permutations(values, 2):
+        assert a != b, (a, b)
+    assert len(dict.fromkeys(values)) == len(values)
 
 
 def test_integral_floats_in_a_state_file_still_load():
