@@ -189,15 +189,20 @@ def cmd_simulate(args) -> int:
             raise ValueError("sweep mode requires --out as a filename prefix")
         if name not in dynamics.SWEEP_FIELDS:
             raise ValueError(f"cannot sweep over field {name!r}")
-        print(f"{name},max_energy_drift,error")
+        paths = {}  # each value's CSV path; values that print alike would share one
         for value in values:
+            path = f"{args.out}_{name}_{value:g}.csv"
+            if path in paths:
+                raise ValueError(f"sweep values {paths[path]:.17g} and {value:.17g} both write {path}")
+            paths[path] = value
+        print(f"{name},max_energy_drift,error")
+        for path, value in paths.items():
             try:
                 swept = replace(cfg, **{name: value})
             except ValueError as exc:  # SimConfig rejects the value: an empty trajectory
                 traj = dynamics.Trajectory([], f"{type(exc).__name__}: {exc}")
             else:
                 traj = dynamics.run(swept)
-            path = f"{args.out}_{name}_{value:g}.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 dynamics.write_trajectory_csv(traj, fh)
             drift = dynamics.max_energy_drift(traj)

@@ -3,9 +3,12 @@
 Each block i carries two internal spin projections (s1, s2); its mass is
 m0 + lambda(v^2) * s1 * s2 with lambda(v^2) = lambda0 + lambda1 * v^2, so the
 inter-level feedback is: internal spins shift the block mass, the block
-velocity shifts the spin-spin coupling.  Blocks interact through an
-optional harmonic potential in |x1 - x2| and a constant spin-spin energy
-kappa * S1 * S2 (S_i is the sum of the block's projections).
+velocity shifts the spin-spin coupling.  Blocks interact through a
+harmonic potential U = k (x1 - x2)^2 / 2 and a constant spin-spin energy
+Lambda = kappa * S1 * S2 (S_i is the sum of the block's projections); the
+coefficients are SimConfig(k=..., kappa=...), and 0 means the potential is
+absent.  A JSON config gives them as potential_U {"type": "harmonic",
+"k": ...} and potential_Lambda {"type": "linear", "kappa": ...}.
 
 The kinetic expression is read as the Lagrangian content; the equations
 of motion are d/dt (dL/dv_i) = -dU/dx_i, integrated by classical RK4 on
@@ -50,23 +53,13 @@ MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
-class HarmonicPotential:
-    k: float
-
-
-@dataclass(frozen=True)
-class LinearSpinCoupling:
-    kappa: float
-
-
-@dataclass(frozen=True)
 class SimConfig:
     m0: float
     spins: tuple[float, float, float, float]  # (s1^1, s2^1, s1^2, s2^2)
     lambda0: float = 0.0
     lambda1: float = 0.0
-    potential_u: HarmonicPotential | None = None
-    potential_spin: LinearSpinCoupling | None = None
+    k: float = 0.0  # harmonic U = k (x1 - x2)^2 / 2
+    kappa: float = 0.0  # spin-spin Lambda = kappa * S1 * S2
     x_init: tuple[float, float] = (0.0, 0.0)
     v_init: tuple[float, float] = (0.0, 0.0)
     dt: float = 1e-3
@@ -82,11 +75,8 @@ class SimConfig:
         finite = [
             ("m0", self.m0), ("lambda0", self.lambda0), ("lambda1", self.lambda1), ("dt", self.dt),
             *(("x_init", x) for x in self.x_init), *(("v_init", v) for v in self.v_init),
+            ("potential_U k", self.k), ("potential_Lambda kappa", self.kappa),
         ]
-        if self.potential_u is not None:
-            finite.append(("potential_U k", self.potential_u.k))
-        if self.potential_spin is not None:
-            finite.append(("potential_Lambda kappa", self.potential_spin.kappa))
         for name, value in finite:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -135,7 +125,10 @@ class Trajectory(NamedTuple):
 
 
 def effective_mass(cfg: SimConfig, block: int, v: float) -> float:
-    m = cfg.m0 + (cfg.lambda0 + cfg.lambda1 * v * v) * cfg.spin_product(block)
+    """m0 + s1*s2*(lambda0 + lambda1*v^2), evaluated as a + b v^2 / 2 with
+    _branch's a and b, as the m_eff columns are."""
+    sig = cfg.spin_product(block)
+    m = (cfg.m0 + sig * cfg.lambda0) + 0.5 * (2.0 * sig * cfg.lambda1) * v * v
     if m <= 0:
         raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
     return m
@@ -205,14 +198,9 @@ def _branches(cfg: SimConfig, v: tuple[float, float]) -> tuple[tuple, tuple]:
 
 
 def potential_energy(cfg: SimConfig, x: tuple[float, float]) -> float:
-    u = 0.0
-    if cfg.potential_u is not None:
-        r = x[0] - x[1]
-        u += 0.5 * cfg.potential_u.k * r * r
-    if cfg.potential_spin is not None:
-        s = cfg.spins
-        u += cfg.potential_spin.kappa * (s[0] + s[1]) * (s[2] + s[3])
-    return u
+    r = x[0] - x[1]
+    s = cfg.spins
+    return 0.5 * cfg.k * r * r + cfg.kappa * (s[0] + s[1]) * (s[2] + s[3])
 
 
 def _block_energy(branch: tuple, v: float) -> float:
@@ -227,10 +215,6 @@ def energy(cfg: SimConfig, x: tuple[float, float], v: tuple[float, float]) -> fl
     when lambda1 = 0."""
     br1, br2 = _branches(cfg, v)
     return _block_energy(br1, v[0]) + _block_energy(br2, v[1]) + potential_energy(cfg, x)
-
-
-def _stiffness(cfg: SimConfig) -> float:
-    return 0.0 if cfg.potential_u is None else cfg.potential_u.k
 
 
 def _rk4(dt: float, k: float, br1: tuple, br2: tuple,
@@ -268,7 +252,7 @@ def step(cfg: SimConfig, state: SimState) -> SimState:
     v1, v2 = state.v
     br1, br2 = _branches(cfg, state.v)
     x1, x2, _, _, v1, v2 = _rk4(
-        cfg.dt, _stiffness(cfg), br1, br2, state.x[0], state.x[1],
+        cfg.dt, cfg.k, br1, br2, state.x[0], state.x[1],
         momentum(cfg, 0, v1), momentum(cfg, 1, v2), v1, v2,
     )
     return SimState(t=state.t + cfg.dt, x=(x1, x2), v=(v1, v2))
@@ -283,7 +267,7 @@ def run(cfg: SimConfig) -> Trajectory:
     """
     samples: list[TrajectorySample] = []
     append = samples.append
-    dt, k = cfg.dt, _stiffness(cfg)
+    dt, k = cfg.dt, cfg.k
     lam = potential_energy(cfg, (0.0, 0.0))  # the constant kappa*S1*S2 term
     t = 0.0
     x1, x2 = cfg.x_init
@@ -342,20 +326,20 @@ def _numbers(value, key: str) -> tuple[float, ...]:
     return tuple(map(float, value))
 
 
-def _potential(obj: dict, key: str, kind: str, cls, field: str):
-    """cls(number) from the potential object obj[key] of type kind; a missing
-    key, JSON null or type "none" means no potential."""
+def _potential(obj: dict, key: str, kind: str, field: str) -> float:
+    """The coefficient obj[key][field] of the potential object of type kind;
+    a missing key, JSON null or type "none" means no potential, 0.0."""
     pot = obj.get(key)
     if pot is None:
-        return None
+        return 0.0
     if not isinstance(pot, dict):
         raise ValueError(f"{key} must be an object or null, got {pot!r}")
     got = pot.get("type", "none")
     if got == "none":
-        return None
+        return 0.0
     if got != kind:
         raise ValueError(f"unknown {key} type {got!r}")
-    return cls(_number(pot[field], f"{key} {field}"))
+    return _number(pot[field], f"{key} {field}")
 
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
@@ -365,8 +349,8 @@ def sim_config_from_obj(obj: dict) -> SimConfig:
             spins=_numbers(obj["spins"], "spins"),
             lambda0=_number(obj.get("lambda0", 0.0), "lambda0"),
             lambda1=_number(obj.get("lambda1", 0.0), "lambda1"),
-            potential_u=_potential(obj, "potential_U", "harmonic", HarmonicPotential, "k"),
-            potential_spin=_potential(obj, "potential_Lambda", "linear", LinearSpinCoupling, "kappa"),
+            k=_potential(obj, "potential_U", "harmonic", "k"),
+            kappa=_potential(obj, "potential_Lambda", "linear", "kappa"),
             x_init=_numbers(obj["x_init"], "x_init"),
             v_init=_numbers(obj["v_init"], "v_init"),
             dt=_number(obj["dt"], "dt"),

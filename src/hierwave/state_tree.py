@@ -26,6 +26,7 @@ TRANSLATION_1D = "Translation1D"
 BOSON = "boson"
 FERMION = "fermion"
 UNSPECIFIED = "unspecified"
+STATISTICS = (BOSON, FERMION, UNSPECIFIED)
 
 AMPLITUDE_TOL = 1e-12
 _TOO_DEEP = "state exceeds the JSON nesting limit of about 490 tree levels (2 JSON levels each)"
@@ -107,6 +108,8 @@ class NodeWave:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
+        if self.statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
+            raise ValueError(f"statistics must be one of {', '.join(STATISTICS)}, got {self.statistics!r}")
         qn = self.quantum_numbers
         if qn is not None:
             # each element an int or an integral float, as in a state file

@@ -11,7 +11,6 @@ from importlib import resources
 
 from hierwave.complexity import MatrixElementSeries, Verdict, classify, description_length, raw_bits
 from hierwave.dynamics import (
-    HarmonicPotential,
     SimConfig,
     invert_momentum,
     max_energy_drift,
@@ -126,7 +125,7 @@ def test_criterion_4_dynamics_conservation():
         cfg = SimConfig(
             m0=1.0,
             spins=(0.5, 0.5, 0.5, 0.5),
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.0, 0.0),
             dt=1e-4,
@@ -149,7 +148,7 @@ def test_criterion_4_dynamics_conservation():
             m0=1.0,
             spins=(0.5, 0.5, 0.5, 0.5),
             lambda0=0.4,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.3, -0.1),
             dt=1e-3,
@@ -165,7 +164,7 @@ def test_criterion_4_dynamics_conservation():
             spins=(0.5, 0.5, 0.5, 0.5),
             lambda0=0.4,
             lambda1=0.01,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.4, 0.6),
             v_init=(0.2, -0.3),
             dt=1e-3,
@@ -179,7 +178,7 @@ def test_criterion_4_dynamics_conservation():
                 spins=cfg3.spins,
                 lambda0=cfg3.lambda0,
                 lambda1=cfg3.lambda1,
-                potential_u=cfg3.potential_u,
+                k=cfg3.k,
                 x_init=(last.x1, last.x2),
                 v_init=(-last.v1, -last.v2),
                 dt=cfg3.dt,

@@ -94,6 +94,20 @@ class TestPauli:
         assert main(["pauli", "--state", str(path)]) == 1
         assert "share state" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("statistics", ["Fermion", "fermions", [1], None])
+    def test_unknown_statistics_is_named_domain_error(self, statistics, tmp_path, capsys):
+        # two identical children: marked "fermion", they violate exclusion
+        obj = json.loads((DATA / "two_spin_example.json").read_text())
+        for child in obj["children"]:
+            child.update(statistics=statistics, quantum_numbers=[1, 0, 0])
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        assert main(["pauli", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: ValueError: statistics must be one of boson, fermion, "
+                                f"unspecified, got {statistics!r}\n")
+        assert captured.out == ""
+
     def test_amplitude_count_mismatch_is_domain_error(self, tmp_path, capsys):
         obj = json.loads((DATA / "two_spin_example.json").read_text())
         leaf = obj["children"][0]
@@ -212,6 +226,40 @@ class TestSimulate:
         header = "t,x1,x2,v1,v2,m1_eff,m2_eff,E_total\n"
         assert (tmp_path / "sweep_m0_0.csv").read_text() == header
         assert len((tmp_path / "sweep_m0_1.csv").read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("sweep, first, second, name", [
+        ("m0=1:1.000001:3", "1", "1.0000005000000001", "sweep_m0_1.csv"),
+        ("m0=nan:1:2", "nan", "nan", "sweep_m0_nan.csv"),
+    ])
+    def test_sweep_values_sharing_a_file_are_refused_before_any_run(
+            self, sweep, first, second, name, tmp_path, capsys):
+        prefix = str(tmp_path / "sweep")
+        code = main(["simulate", "--config", _harmonic_config(tmp_path), "--out", prefix, "--sweep", sweep])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: ValueError: sweep values {first} and {second} both write {tmp_path / name}\n")
+        assert captured.out == "" and not list(tmp_path.glob("sweep_*"))
+
+    @pytest.mark.parametrize("key, kind, field", [
+        ("potential_U", "harmonic", "k"),
+        ("potential_Lambda", "linear", "kappa"),
+    ])
+    def test_absent_potential_spellings_write_identical_csvs(self, key, kind, field, tmp_path):
+        base = json.loads((DATA / "harmonic_benchmark.json").read_text())
+        base.update(steps=50, lambda0=0.3, lambda1=0.2, spins=[0.5, -0.5, 0.5, 0.5], v_init=[0.3, -0.1],
+                    potential_U={"type": "harmonic", "k": 1.0},
+                    potential_Lambda={"type": "linear", "kappa": 0.5})
+        del base[key]
+        outputs = []
+        for spelling in ("missing", None, {"type": "none"}, {"type": kind, field: 0}):
+            cfg = dict(base) if spelling == "missing" else {**base, key: spelling}
+            cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "traj.csv"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+            outputs.append(out_path.read_bytes())
+        assert len(outputs[0].splitlines()) == 52
+        assert outputs == [outputs[0]] * 4
 
     def test_sweep_over_unsweepable_field_is_domain_error(self, tmp_path, capsys):
         prefix = str(tmp_path / "sweep")

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from hierwave.dynamics import (
-    HarmonicPotential,
-    LinearSpinCoupling,
     LegendreSingularityError,
     MAX_STEPS,
     NonpositiveMassError,
@@ -72,8 +70,8 @@ class TestEnergy:
         cfg = config(
             lambda0=0.0,
             lambda1=0.0,
-            potential_u=HarmonicPotential(k=2.0),
-            potential_spin=LinearSpinCoupling(kappa=0.5),
+            k=2.0,
+            kappa=0.5,
         )
         x, v = (1.0, 0.0), (2.0, -1.0)
         expected = 0.5 * 1.0 * (4.0 + 1.0) + 0.5 * 2.0 * 1.0 + 0.5 * 1.0 * 1.0
@@ -85,7 +83,7 @@ class TestEnergy:
         assert energy(cfg, (0.0, 0.0), (2.0, 0.0)) == pytest.approx(2.2, rel=1e-15)
 
     def test_jacobi_energy_with_lambda1(self):
-        cfg = config(spins=MIXED, lambda0=0.3, lambda1=0.2, potential_u=HarmonicPotential(k=2.0))
+        cfg = config(spins=MIXED, lambda0=0.3, lambda1=0.2, k=2.0)
         x, v = (1.0, 0.0), (0.4, -1.3)
         # h = sum_i (p_i v_i - m_i(v_i) v_i^2 / 2) + U
         expected = sum(
@@ -185,7 +183,7 @@ class TestStepAndRun:
     def test_harmonic_period(self):
         # relative coordinate oscillates with T = 2*pi*sqrt(mu/k), mu = 1/2
         cfg = config(
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.0, 0.0),
             dt=1e-4,
@@ -209,7 +207,7 @@ class TestStepAndRun:
         cfg = config(
             lambda0=0.4,
             lambda1=0.0,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.3, -0.1),
             dt=1e-3,
@@ -223,7 +221,7 @@ class TestStepAndRun:
         cfg = config(
             lambda0=0.4,
             lambda1=0.01,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.4, 0.6),
             v_init=(0.2, -0.3),
             dt=1e-3,
@@ -236,7 +234,7 @@ class TestStepAndRun:
             spins=cfg.spins,
             lambda0=cfg.lambda0,
             lambda1=cfg.lambda1,
-            potential_u=cfg.potential_u,
+            k=cfg.k,
             x_init=(last.x1, last.x2),
             v_init=(-last.v1, -last.v2),
             dt=cfg.dt,
@@ -251,7 +249,7 @@ class TestStepAndRun:
         cfg = config(
             lambda0=0.0,
             lambda1=0.0,
-            potential_u=HarmonicPotential(k=1.3),
+            k=1.3,
             x_init=(-0.2, 0.9),
             v_init=(0.5, -0.4),
             dt=1e-3,
@@ -269,7 +267,7 @@ class TestStepAndRun:
         cfg = config(
             lambda0=0.2,
             lambda1=0.005,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.7, 0.7),
             v_init=(0.4, -0.4),
             dt=1e-3,
@@ -285,7 +283,7 @@ class TestStepAndRun:
             spins=(0.5, 0.5, 0.5, -0.5),
             lambda0=0.3,
             lambda1=0.002,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.1, -0.2),
             steps=500,
@@ -294,7 +292,7 @@ class TestStepAndRun:
             spins=(-0.5, -0.5, 0.5, -0.5),
             lambda0=0.3,
             lambda1=0.002,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.1, -0.2),
             steps=500,
@@ -311,7 +309,7 @@ class TestStepAndRun:
             spins=(0.5, -0.5, 0.5, -0.5),
             lambda0=4.2,
             lambda1=0.0,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-1.0, 1.0),
             v_init=(0.0, 0.0),
             dt=1e-3,
@@ -321,12 +319,12 @@ class TestStepAndRun:
         assert traj.error is not None and "NonpositiveMass" in traj.error
         assert len(traj.samples) < 101
 
-    @pytest.mark.parametrize("potential", [None, HarmonicPotential(k=1.0)])
+    @pytest.mark.parametrize("potential", [0.0, 1.0])
     def test_inadmissible_start_recorded_not_raised(self, potential):
         # mass 0.5 > 0 but dp/dv = 1 - (1/4)(6 * 2 * 1) = -2 at v1 = 1: the
         # Newton solver used to jump silently to v1 = 0 (no potential) or
         # raise out of run (harmonic potential)
-        cfg = config(spins=MIXED, lambda1=2.0, potential_u=potential, v_init=(1.0, 0.0))
+        cfg = config(spins=MIXED, lambda1=2.0, k=potential, v_init=(1.0, 0.0))
         traj = run(cfg)
         assert traj.error is not None
         assert traj.error.startswith("LegendreSingularityError: dp/dv = -2.0")
@@ -340,7 +338,7 @@ class TestStepAndRun:
         cfg = config(
             spins=MIXED,
             lambda1=2.0,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-1.0, 1.0),
             steps=5000,
         )
@@ -356,7 +354,7 @@ class TestStepAndRun:
         cfg = config(
             lambda0=0.3,
             lambda1=0.2,
-            potential_u=HarmonicPotential(k=1.0),
+            k=1.0,
             x_init=(-0.5, 0.5),
             v_init=(0.3, -0.1),
             dt=1e-3,
@@ -370,13 +368,39 @@ class TestStepAndRun:
 class TestTrajectoryCsv:
     def test_rows_are_seventeen_digit_fields(self):
         sample = TrajectorySample(0.0, -0.0, 1e-300, 2.5e300, 1 / 3, math.pi, math.inf, -7)
-        traj = run(config(potential_u=HarmonicPotential(k=1.0), x_init=(-0.5, 0.5), lambda0=0.3))
+        traj = run(config(k=1.0, x_init=(-0.5, 0.5), lambda0=0.3))
         traj.samples.append(sample)
         fh = io.StringIO()
         write_trajectory_csv(traj, fh)
         reference = ["t,x1,x2,v1,v2,m1_eff,m2_eff,E_total"]
         reference += [",".join(f"{v:.17g}" for v in s) for s in traj.samples]
         assert fh.getvalue() == "\n".join(reference) + "\n"
+
+
+class TestOneForm:
+    def test_mass_and_energy_equal_the_sampled_columns(self):
+        # effective_mass and energy evaluate the formulas run() samples, so
+        # they agree bit for bit, also with lambda1 != 0
+        rng = random.Random(15)
+        compared = 0
+        for _ in range(30):
+            cfg = config(
+                spins=tuple(rng.choice((0.5, -0.5)) for _ in range(4)),
+                m0=rng.uniform(0.5, 2.0),
+                lambda0=rng.uniform(-1.0, 1.0),
+                lambda1=rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.5),
+                k=rng.uniform(0.0, 2.0),
+                kappa=rng.uniform(-1.0, 1.0),
+                x_init=(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                v_init=(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+                steps=100,
+            )
+            for s in run(cfg).samples:
+                assert effective_mass(cfg, 0, s.v1) == s.m1_eff
+                assert effective_mass(cfg, 1, s.v2) == s.m2_eff
+                assert energy(cfg, (s.x1, s.x2), (s.v1, s.v2)) == s.e_total
+                compared += 1
+        assert compared > 2000
 
 
 class TestConfigIO:
@@ -395,6 +419,6 @@ class TestConfigIO:
             }
         )
         assert cfg.m0 == 2.0
-        assert cfg.potential_u == HarmonicPotential(k=3.0)
-        assert cfg.potential_spin == LinearSpinCoupling(kappa=0.2)
+        assert cfg.k == 3.0
+        assert cfg.kappa == 0.2
         assert cfg.lambda1 == 0.0

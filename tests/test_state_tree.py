@@ -99,6 +99,14 @@ class TestQuantumNumbers:
         assert leaf(quantum_numbers=[2, -1]).wave.quantum_numbers == (2, -1)
 
 
+class TestStatistics:
+    @pytest.mark.parametrize("statistics", ["Fermion", "bosons", "", None, [1], 1])
+    def test_other_values_rejected(self, statistics):
+        message = f"statistics must be one of boson, fermion, unspecified, got {statistics!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            leaf(statistics=statistics)
+
+
 class TestScalarMul:
     def test_identity(self):
         psi = two_node_tree()
