@@ -95,11 +95,6 @@ def _header_bits(order: list[int]) -> int:
     return _gamma_len(len(order)) + sum(_gamma_len(_zigzag(s) + 1) for s in order)
 
 
-def dictionary_header_bits(symbols: Sequence[int]) -> int:
-    """Size of the gamma-coded dictionary part of the stream."""
-    return _header_bits(_first_appearance(symbols))
-
-
 def description_length(symbols: Sequence[int]) -> int:
     """Compressed size in bits under the pinned-down coder, counted code by
     code without building the stream.

@@ -10,6 +10,7 @@ are never compared.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
@@ -111,6 +112,7 @@ def pauli_check(psi: HierState, scope: int = 1) -> list[PauliViolation]:
     """
     if scope < 1:
         raise ValueError("scope must be >= 1")
+    scope = min(scope, sys.maxsize)  # rsplit takes no more; no tree is that deep
     groups: dict[tuple, list[str]] = {}
     for path, node in iter_nodes(psi):
         system, *below = path.rsplit(".", scope)  # fewer than scope levels deep: no system

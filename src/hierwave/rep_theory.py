@@ -115,14 +115,6 @@ class IrrepSum:
 
     entries: tuple[tuple[IrrepLabel, int], ...]
 
-    @classmethod
-    def from_counts(cls, counts: dict[IrrepLabel, int]) -> "IrrepSum":
-        for label, mult in counts.items():
-            if mult < 1:
-                raise ValueError(f"multiplicity of {label} must be >= 1, got {mult}")
-        ordered = tuple(sorted(counts.items(), key=lambda kv: -kv[0].twice_j))
-        return cls(ordered)
-
     def multiplicity(self, label: IrrepLabel) -> int:
         for lab, mult in self.entries:
             if lab == label:
@@ -138,11 +130,6 @@ class IrrepSum:
 
     def __str__(self) -> str:
         return " + ".join(f"{mult}x[{lab}]" for lab, mult in self.entries)
-
-
-def couple_pair(j1: IrrepLabel, j2: IrrepLabel) -> IrrepSum:
-    """Coupling series of two irreps: J = |j1-j2| ... j1+j2, each once."""
-    return decompose_product([j1, j2])
 
 
 def decompose_product(factors: list[IrrepLabel] | tuple[IrrepLabel, ...]) -> IrrepSum:

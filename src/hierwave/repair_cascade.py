@@ -35,17 +35,21 @@ class ComponentSpec:
 
     def validate(self, path: str = "") -> list[str]:
         """A component must be buildable from its own parts: its irrep must
-        occur in the product of its subcomponents' irreps."""
-        here = f"{path}/{self.name}" if path else self.name
+        occur in the product of its subcomponents' irreps.  Problems come in
+        pre-order, from an explicit stack, so depth is bounded by memory and
+        not by the recursion limit."""
         problems: list[str] = []
-        if self.subcomponents:
-            product = decompose_product([c.irrep for c in self.subcomponents])
-            if product.multiplicity(self.irrep) < 1:
-                problems.append(
-                    f"{here}: irrep {self.irrep} not contained in subcomponent product {product}"
-                )
-            for sub in self.subcomponents:
-                problems.extend(sub.validate(here))
+        stack = [(self, path)]
+        while stack:
+            comp, path = stack.pop()
+            here = f"{path}/{comp.name}" if path else comp.name
+            if comp.subcomponents:
+                product = decompose_product([c.irrep for c in comp.subcomponents])
+                if product.multiplicity(comp.irrep) < 1:
+                    problems.append(
+                        f"{here}: irrep {comp.irrep} not contained in subcomponent product {product}"
+                    )
+                stack.extend((sub, here) for sub in reversed(comp.subcomponents))
         return problems
 
 

@@ -11,10 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-from hierwave.complexity import _first_appearance, _gamma_len, _zigzag, dictionary_header_bits
+from hierwave.complexity import _first_appearance, _gamma_len, _header_bits, _zigzag
 from hierwave.dynamics import SimConfig, momentum
 from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
 from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product
+from hierwave.repair_cascade import ComponentSpec
 from hierwave.state_tree import (
     FERMION,
     HierarchyLevel,
@@ -26,6 +27,37 @@ from hierwave.state_tree import (
     UNSPECIFIED,
     dominant_label,
 )
+
+
+def from_counts(counts: dict[IrrepLabel, int]) -> IrrepSum:
+    """The IrrepSum holding the given multiplicities, each >= 1, by descending j."""
+    for label, mult in counts.items():
+        if mult < 1:
+            raise ValueError(f"multiplicity of {label} must be >= 1, got {mult}")
+    return IrrepSum(tuple(sorted(counts.items(), key=lambda kv: -kv[0].twice_j)))
+
+
+def couple_pair(j1: IrrepLabel, j2: IrrepLabel) -> IrrepSum:
+    """Coupling series of two irreps: J = |j1-j2| ... j1+j2, each once."""
+    return decompose_product([j1, j2])
+
+
+def dictionary_header_bits(symbols: Sequence[int]) -> int:
+    """Size of the gamma-coded dictionary part of the coder's stream."""
+    return _header_bits(_first_appearance(symbols))
+
+
+def reference_validate(comp: ComponentSpec, path: str = "") -> list[str]:
+    """ComponentSpec.validate in its recursive form: one call per level."""
+    here = f"{path}/{comp.name}" if path else comp.name
+    problems: list[str] = []
+    if comp.subcomponents:
+        product = decompose_product([c.irrep for c in comp.subcomponents])
+        if product.multiplicity(comp.irrep) < 1:
+            problems.append(f"{here}: irrep {comp.irrep} not contained in subcomponent product {product}")
+        for sub in comp.subcomponents:
+            problems.extend(reference_validate(sub, here))
+    return problems
 
 
 def weight_multiplicities(twice_js: list[int]) -> Counter:
@@ -67,7 +99,7 @@ def fold_decompose_product(factors: Sequence[IrrepLabel]) -> IrrepSum:
             for tJ in range(abs(tj - tf), tj + tf + 1, 2):
                 nxt[tJ] = nxt.get(tJ, 0) + mult
         counts = nxt
-    return IrrepSum.from_counts({IrrepLabel(tj): mult for tj, mult in counts.items()})
+    return from_counts({IrrepLabel(tj): mult for tj, mult in counts.items()})
 
 
 def _lowering(tj: int) -> np.ndarray:

@@ -108,6 +108,11 @@ class TestPauli:
                                 f"unspecified, got {statistics!r}\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scope", [str(sys.maxsize), "9" * 20])
+    def test_scope_deeper_than_any_tree_finds_no_system(self, scope, capsys):
+        assert main(["pauli", "--state", data_path("two_spin_example.json"), "--scope", scope]) == 0
+        assert capsys.readouterr() == ("no exclusion violations\n", "")
+
     def test_amplitude_count_mismatch_is_domain_error(self, tmp_path, capsys):
         obj = json.loads((DATA / "two_spin_example.json").read_text())
         leaf = obj["children"][0]

@@ -9,12 +9,11 @@ from hierwave.complexity import (
     Verdict,
     classify,
     description_length,
-    dictionary_header_bits,
     raw_bits,
     symbolize,
 )
 
-from helpers import _read_gamma, decode_symbols, encode_symbols, scan_description_length
+from helpers import _read_gamma, decode_symbols, dictionary_header_bits, encode_symbols, scan_description_length
 
 
 def series(values, q):

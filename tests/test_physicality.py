@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -265,6 +266,11 @@ class TestPauliCheck:
                 assert found == reference_pauli_check(psi, scope), (seed, scope)
                 total += len(found)
         assert total > 100  # the trees do exercise the exclusion rule
+
+    def test_scope_above_maxsize_is_scope_maxsize(self):
+        psi = parent_over([fermion_leaf(1, 1), fermion_leaf(1, 1)])
+        assert len(pauli_check(psi, 1)) == 1
+        assert pauli_check(psi, 10**20) == pauli_check(psi, sys.maxsize) == []
 
     def test_deep_chain(self):
         # two identical fermion leaves under a depth-10^4 chain

@@ -21,7 +21,6 @@ from hierwave.rep_theory import (
     ProductSizeError,
     SpinRangeError,
     clebsch_gordan,
-    couple_pair,
     decompose_product,
     format_j,
     parse_j,
@@ -29,8 +28,10 @@ from hierwave.rep_theory import (
 
 from helpers import (
     cg_oracle_table,
+    couple_pair,
     fold_decompose_product,
     fraction_cg_value,
+    from_counts,
     irrep_multiplicities_by_weights,
     reference_cg_value,
     weight_multiplicities,
@@ -132,7 +133,7 @@ class TestCouplePair:
     def test_trivial_factor(self):
         for j in ("0", "1/2", "3"):
             s = couple_pair(J(j), J("0"))
-            assert s == IrrepSum.from_counts({J(j): 1})
+            assert s == from_counts({J(j): 1})
 
     def test_one_with_half(self):
         s = couple_pair(J("1"), J("1/2"))
@@ -149,7 +150,7 @@ class TestCouplePair:
 
 class TestDecomposeProduct:
     def test_single_factor(self):
-        assert decompose_product([J("1/2")]) == IrrepSum.from_counts({J("1/2"): 1})
+        assert decompose_product([J("1/2")]) == from_counts({J("1/2"): 1})
 
     def test_two_halves(self):
         s = decompose_product([J("1/2"), J("1/2")])
@@ -187,7 +188,7 @@ class TestDecomposeProduct:
 def _assert_decomposition(twice_js):
     factors = [IrrepLabel(tj) for tj in twice_js]
     got = decompose_product(factors)
-    by_weights = IrrepSum.from_counts(
+    by_weights = from_counts(
         {IrrepLabel(tj): mult for tj, mult in irrep_multiplicities_by_weights(twice_js).items()})
     for oracle in (fold_decompose_product(factors), by_weights):
         assert got == oracle, twice_js

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hierwave.rep_theory import IrrepLabel, decompose_product
@@ -12,6 +14,8 @@ from hierwave.repair_cascade import (
     organism_to_obj,
     repair,
 )
+
+from helpers import reference_validate
 
 HALF = IrrepLabel(1)
 ONE = IrrepLabel(2)
@@ -39,6 +43,30 @@ class TestSpecs:
         assert singlet_of_four_halves().validate() == []
         bad = Organism(target_irrep=ONE, components=(cell("only", ZERO),))
         assert bad.validate()
+
+    def test_validate_matches_recursive_reference(self):
+        def spec(rng, name, depth):
+            n = rng.randint(0, 3) if depth < 6 else 0
+            return cell(name, IrrepLabel(rng.randint(0, 3)),
+                        [spec(rng, f"{name}{i}", depth + 1) for i in range(n)])
+
+        failing_depths = set()
+        for seed in range(100):
+            comp = spec(random.Random(seed), "c", 0)
+            problems = comp.validate()
+            assert problems == reference_validate(comp), seed
+            assert comp.validate("org/x") == reference_validate(comp, "org/x"), seed
+            failing_depths.update(p.split(":")[0].count("/") for p in problems)
+        assert failing_depths == set(range(6))  # every internal depth has failing nodes
+
+    def test_deep_chain_validates(self):
+        # a depth-10^4 chain of spin-1 cells over one spin-1/2 leaf: only the deepest cell fails
+        depth = 10**4
+        comp = cell("c", ONE, [cell("leaf", HALF)])
+        for _ in range(depth - 1):
+            comp = cell("c", ONE, [comp])
+        problems = Organism(target_irrep=ONE, components=(comp,)).validate()
+        assert problems == ["/".join(["c"] * depth) + ": irrep 1 not contained in subcomponent product 1x[1/2]"]
 
     def test_removal_must_be_nonempty(self):
         with pytest.raises(ValueError):
