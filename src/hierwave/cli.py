@@ -178,8 +178,6 @@ def _parse_sweep(spec: str):
 
 
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     from . import dynamics
 
     cfg = dynamics.load_sim_config(args.config)
@@ -196,9 +194,10 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"sweep values {paths[path]:.17g} and {value:.17g} both write {path}")
             paths[path] = value
         print(f"{name},max_energy_drift,error")
+        fields = {field: getattr(cfg, field) for field in cfg.__slots__}
         for path, value in paths.items():
             try:
-                swept = replace(cfg, **{name: value})
+                swept = dynamics.SimConfig(**{**fields, name: value})
             except ValueError as exc:  # SimConfig rejects the value: an empty trajectory
                 traj = dynamics.Trajectory([], f"{type(exc).__name__}: {exc}")
             else:

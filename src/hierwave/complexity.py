@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -44,19 +43,42 @@ class Verdict(Enum):
     SERIES_LIKE = "SeriesLike"
 
 
-@dataclass(frozen=True)
 class MatrixElementSeries:
-    values: tuple[float, ...]
-    quantization: float
+    """A non-empty series of values and the step that quantizes them.  Fields
+    cannot be assigned or deleted."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
+    __slots__ = ("values", "quantization")
+
+    def __init__(self, values: tuple[float, ...], quantization: float) -> None:
+        values = tuple(float(v) for v in values)
+        if not values:
             raise ValueError("series must be non-empty")
-        if not 0 < self.quantization < math.inf:
+        if not 0 < quantization < math.inf:
             raise ValueError(
-                f"quantization must be positive and finite, got {self.quantization!r}"
+                f"quantization must be positive and finite, got {quantization!r}"
             )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "quantization", quantization)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.quantization) == (other.values, other.quantization)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.quantization))
+
+    def __repr__(self) -> str:
+        return f"MatrixElementSeries(values={self.values!r}, quantization={self.quantization!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MatrixElementSeries, (self.values, self.quantization)
 
 
 class ComplexityReport(NamedTuple):

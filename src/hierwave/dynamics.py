@@ -35,7 +35,6 @@ which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -52,50 +51,84 @@ class LegendreSingularityError(ValueError):
 MAX_STEPS = 2_000_000
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    m0: float
-    spins: tuple[float, float, float, float]  # (s1^1, s2^1, s1^2, s2^2)
-    lambda0: float = 0.0
-    lambda1: float = 0.0
-    k: float = 0.0  # harmonic U = k (x1 - x2)^2 / 2
-    kappa: float = 0.0  # spin-spin Lambda = kappa * S1 * S2
-    x_init: tuple[float, float] = (0.0, 0.0)
-    v_init: tuple[float, float] = (0.0, 0.0)
-    dt: float = 1e-3
-    steps: int = 1000
+    """A run's parameters, checked and normalised by the constructor; build a
+    changed config through it too, so that the change is checked.  Fields
+    cannot be assigned or deleted."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spins", tuple(float(s) for s in self.spins))
-        object.__setattr__(self, "x_init", tuple(float(x) for x in self.x_init))
-        object.__setattr__(self, "v_init", tuple(float(v) for v in self.v_init))
-        for name, pair in (("x_init", self.x_init), ("v_init", self.v_init)):
+    __slots__ = ("m0", "spins", "lambda0", "lambda1", "k", "kappa", "x_init", "v_init", "dt", "steps")
+
+    def __init__(
+        self,
+        m0: float,
+        spins: tuple[float, float, float, float],  # (s1^1, s2^1, s1^2, s2^2)
+        lambda0: float = 0.0,
+        lambda1: float = 0.0,
+        k: float = 0.0,  # harmonic U = k (x1 - x2)^2 / 2
+        kappa: float = 0.0,  # spin-spin Lambda = kappa * S1 * S2
+        x_init: tuple[float, float] = (0.0, 0.0),
+        v_init: tuple[float, float] = (0.0, 0.0),
+        dt: float = 1e-3,
+        steps: int = 1000,
+    ) -> None:
+        spins = tuple(float(s) for s in spins)
+        x_init = tuple(float(x) for x in x_init)
+        v_init = tuple(float(v) for v in v_init)
+        for name, pair in (("x_init", x_init), ("v_init", v_init)):
             if len(pair) != 2:
                 raise ValueError(f"{name} must have two entries, got {len(pair)}")
         finite = [
-            ("m0", self.m0), ("lambda0", self.lambda0), ("lambda1", self.lambda1), ("dt", self.dt),
-            *(("x_init", x) for x in self.x_init), *(("v_init", v) for v in self.v_init),
-            ("potential_U k", self.k), ("potential_Lambda kappa", self.kappa),
+            ("m0", m0), ("lambda0", lambda0), ("lambda1", lambda1), ("dt", dt),
+            *(("x_init", x) for x in x_init), *(("v_init", v) for v in v_init),
+            ("potential_U k", k), ("potential_Lambda kappa", kappa),
         ]
         for name, value in finite:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if isinstance(self.steps, float) and self.steps.is_integer():
-            object.__setattr__(self, "steps", int(self.steps))
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.m0 <= 0:
+        if isinstance(steps, float) and steps.is_integer():
+            steps = int(steps)
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise ValueError(f"steps must be an integer, got {steps!r}")
+        if m0 <= 0:
             raise ValueError("m0 must be positive")
-        if self.dt <= 0:
+        if dt <= 0:
             raise ValueError("dt must be positive")
-        if self.steps < 0:
+        if steps < 0:
             raise ValueError("steps must be non-negative")
-        if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
-        if self.dt * self.steps >= 1e9:
+        if steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
+        if dt * steps >= 1e9:
             raise ValueError("dt * steps must stay below 1e9")
-        if len(self.spins) != 4 or any(s not in (0.5, -0.5) for s in self.spins):
+        if len(spins) != 4 or any(s not in (0.5, -0.5) for s in spins):
             raise ValueError("spins must be four projections, each +0.5 or -0.5")
+        values = (m0, spins, lambda0, lambda1, k, kappa, x_init, v_init, dt, steps)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.m0, self.spins, self.lambda0, self.lambda1, self.k, self.kappa,
+                self.x_init, self.v_init, self.dt, self.steps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"SimConfig({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SimConfig, self._key()
 
     def spin_product(self, block: int) -> float:
         s = self.spins

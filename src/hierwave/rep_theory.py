@@ -12,7 +12,6 @@ are cached: one sum is evaluated per +-m pair, the partner taking the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod, sqrt
 
@@ -90,16 +89,49 @@ def parse_j(text: str) -> int:
     return twice.numerator
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
-    twice_j: int
+class _Value:
+    """Base of hierwave's immutable value types.  A subclass names its fields in
+    __slots__, in constructor order, sets them once in __init__ through
+    object.__setattr__, and writes out its own __eq__, true only within the
+    class, and __hash__, of the field tuple (a tree's, of its pre-order
+    sequence).  The repr is the class name and each field=value in order; a
+    field can be neither assigned nor deleted; copy and pickle rebuild a value
+    through the validating constructor."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class IrrepLabel(_Value):
+    __slots__ = ("twice_j",)
+
+    def __init__(self, twice_j: int) -> None:
         # exact ints only: a float would make dim and the weight count non-integral
-        if type(self.twice_j) is not int:
-            raise ValueError(f"twice_j must be an int, got {self.twice_j!r}")
-        if self.twice_j < 0:
-            raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
+        if type(twice_j) is not int:
+            raise ValueError(f"twice_j must be an int, got {twice_j!r}")
+        if twice_j < 0:
+            raise ValueError(f"twice_j must be >= 0, got {twice_j}")
+        object.__setattr__(self, "twice_j", twice_j)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.twice_j == other.twice_j
+
+    def __hash__(self) -> int:
+        return hash((self.twice_j,))
 
     @property
     def dim(self) -> int:
@@ -109,11 +141,21 @@ class IrrepLabel:
         return format_j(self.twice_j)
 
 
-@dataclass(frozen=True)
-class IrrepSum:
+class IrrepSum(_Value):
     """Multiset of irreps with integer multiplicities, ordered by descending j."""
 
-    entries: tuple[tuple[IrrepLabel, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[IrrepLabel, int], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def multiplicity(self, label: IrrepLabel) -> int:
         for lab, mult in self.entries:
@@ -194,23 +236,29 @@ def _weight_product(groups: dict[int, int], bits: int) -> int:
     return weights
 
 
-@dataclass(frozen=True)
-class CGQuery:
+class CGQuery(_Value):
     """Coupling query <j1 m1 j2 m2 | J M>, all entries as doubled integers."""
 
-    twice_j1: int
-    twice_m1: int
-    twice_j2: int
-    twice_m2: int
-    twice_J: int
-    twice_M: int
+    __slots__ = ("twice_j1", "twice_m1", "twice_j2", "twice_m2", "twice_J", "twice_M")
 
-    def __post_init__(self) -> None:
+    def __init__(self, twice_j1: int, twice_m1: int, twice_j2: int, twice_m2: int,
+                 twice_J: int, twice_M: int) -> None:
         # exact ints only: an equal float or bool would share a validated cache key
-        for name in self.__dataclass_fields__:  # not vars(self): that builds a dict per instance
-            value = getattr(self, name)
+        values = (twice_j1, twice_m1, twice_j2, twice_m2, twice_J, twice_M)
+        for name, value in zip(self.__slots__, values):
             if type(value) is not int:
                 raise InvalidQueryError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.twice_j1 == other.twice_j1 and self.twice_m1 == other.twice_m1
+                and self.twice_j2 == other.twice_j2 and self.twice_m2 == other.twice_m2
+                and self.twice_J == other.twice_J and self.twice_M == other.twice_M)
+
+    def __hash__(self) -> int:
+        return hash((self.twice_j1, self.twice_m1, self.twice_j2, self.twice_m2, self.twice_J, self.twice_M))
 
 
 @lru_cache(maxsize=None)

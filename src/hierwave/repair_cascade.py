@@ -14,24 +14,37 @@ one with the same irrep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import zip_longest
+from typing import Iterator, NamedTuple
 
-from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
+from .rep_theory import IrrepLabel, IrrepSum, _Value, decompose_product, format_j, parse_j
 
 
 class EmptyRemainderError(ValueError):
     """Removal would leave no components at all."""
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
-    name: str
-    irrep: IrrepLabel
-    subcomponents: tuple["ComponentSpec", ...] = ()
+class ComponentSpec(_Value):
+    """A component with its irrep and its subcomponents one level down.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subcomponents", tuple(self.subcomponents))
+    Equality and hash go over the pre-order (name, irrep, subcomponent count)
+    sequence, which fixes the tree, so they do not recurse and depth is
+    unbounded."""
+
+    __slots__ = ("name", "irrep", "subcomponents")
+
+    def __init__(self, name: str, irrep: IrrepLabel, subcomponents: tuple[ComponentSpec, ...] = ()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "irrep", irrep)
+        object.__setattr__(self, "subcomponents", tuple(subcomponents))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same_forest((self,), (other,))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder((self,))))
 
     def validate(self, path: str = "") -> list[str]:
         """A component must be buildable from its own parts: its irrep must
@@ -53,13 +66,39 @@ class ComponentSpec:
         return problems
 
 
-@dataclass(frozen=True)
-class Organism:
-    target_irrep: IrrepLabel
-    components: tuple[ComponentSpec, ...]
+def _preorder(components: tuple[ComponentSpec, ...]) -> Iterator[tuple[str, IrrepLabel, int]]:
+    """The pre-order (name, irrep, subcomponent count) sequence of a list of
+    components, from an explicit stack; each tree in it ends where its counts
+    say, so the sequence fixes the list."""
+    stack = list(reversed(components))
+    while stack:
+        comp = stack.pop()
+        yield comp.name, comp.irrep, len(comp.subcomponents)
+        stack.extend(reversed(comp.subcomponents))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+
+def _same_forest(a: tuple[ComponentSpec, ...], b: tuple[ComponentSpec, ...]) -> bool:
+    """True iff two lists of components are equal, name, irrep and shape."""
+    return all(p == q for p, q in zip_longest(_preorder(a), _preorder(b)))
+
+
+class Organism(_Value):
+    """A target irrep and the components that should build it; equality and
+    hash, like ComponentSpec's, do not recurse."""
+
+    __slots__ = ("target_irrep", "components")
+
+    def __init__(self, target_irrep: IrrepLabel, components: tuple[ComponentSpec, ...]) -> None:
+        object.__setattr__(self, "target_irrep", target_irrep)
+        object.__setattr__(self, "components", tuple(components))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.target_irrep == other.target_irrep and _same_forest(self.components, other.components)
+
+    def __hash__(self) -> int:
+        return hash((self.target_irrep, *_preorder(self.components)))
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -76,16 +115,24 @@ class Organism:
         return problems
 
 
-@dataclass(frozen=True)
-class RemovalAction:
-    removed_indices: frozenset[int]
+class RemovalAction(_Value):
+    __slots__ = ("removed_indices",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "removed_indices", frozenset(self.removed_indices))
-        if not self.removed_indices:
+    def __init__(self, removed_indices: frozenset[int]) -> None:
+        removed_indices = frozenset(removed_indices)
+        if not removed_indices:
             raise ValueError("removal action must remove at least one component")
-        if any(i < 0 for i in self.removed_indices):
+        if any(i < 0 for i in removed_indices):
             raise ValueError("component indices must be non-negative")
+        object.__setattr__(self, "removed_indices", removed_indices)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.removed_indices == other.removed_indices
+
+    def __hash__(self) -> int:
+        return hash((self.removed_indices,))
 
 
 class Remainder(NamedTuple):

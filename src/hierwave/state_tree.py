@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .rep_theory import check_spin_range
+from .rep_theory import _Value, check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
 SU2 = "SU2"
@@ -31,6 +30,16 @@ STATISTICS = (BOSON, FERMION, UNSPECIFIED)
 AMPLITUDE_TOL = 1e-12
 _TOO_DEEP = "state exceeds the JSON nesting limit of about 490 tree levels (2 JSON levels each)"
 
+# The most characters of a rejected value's repr that an error message shows:
+# a message stays well below cli.MAX_ERROR_CHARS, whatever the value's size.
+_SHOWN = 500
+
+
+def _shown(value) -> str:
+    """repr(value), or its first _SHOWN characters and its length when longer."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
 
 class ShapeMismatchError(ValueError):
     """Addition of trees that are not congruent."""
@@ -40,101 +49,142 @@ class StateTooDeepError(ValueError):
     """A state nested deeper than its JSON form allows."""
 
 
-@dataclass(frozen=True)
-class SpinWeight:
+class SpinWeight(_Value):
     """SU(2) weight label (j, m), stored as doubled integers so half-integer
     spins stay exact."""
 
-    twice_j: int
-    twice_m: int
+    __slots__ = ("twice_j", "twice_m")
 
-    def __post_init__(self) -> None:
+    def __init__(self, twice_j: int, twice_m: int) -> None:
         # exact ints only, as in IrrepLabel: a float or bool would pass as an equal label
-        if type(self.twice_j) is not int:
-            raise ValueError(f"twice_j must be an int, got {self.twice_j!r}")
-        if type(self.twice_m) is not int:
-            raise ValueError(f"twice_m must be an int, got {self.twice_m!r}")
-        if self.twice_j < 0:
-            raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
-        check_spin_range(self.twice_j)
-        if abs(self.twice_m) > self.twice_j:
-            raise ValueError(f"|m| > j for (2j, 2m) = ({self.twice_j}, {self.twice_m})")
-        if (self.twice_m - self.twice_j) % 2 != 0:
-            raise ValueError(f"m and j parity mismatch: (2j, 2m) = ({self.twice_j}, {self.twice_m})")
+        if type(twice_j) is not int:
+            raise ValueError(f"twice_j must be an int, got {_shown(twice_j)}")
+        if type(twice_m) is not int:
+            raise ValueError(f"twice_m must be an int, got {_shown(twice_m)}")
+        if twice_j < 0:
+            raise ValueError(f"twice_j must be >= 0, got {_shown(twice_j)}")
+        check_spin_range(twice_j)
+        if abs(twice_m) > twice_j:
+            raise ValueError(f"|m| > j for (2j, 2m) = ({twice_j}, {_shown(twice_m)})")
+        if (twice_m - twice_j) % 2 != 0:
+            raise ValueError(f"m and j parity mismatch: (2j, 2m) = ({twice_j}, {twice_m})")
+        object.__setattr__(self, "twice_j", twice_j)
+        object.__setattr__(self, "twice_m", twice_m)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.twice_j == other.twice_j and self.twice_m == other.twice_m
+
+    def __hash__(self) -> int:
+        return hash((self.twice_j, self.twice_m))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """Discrete coordinate label on a spatial-type group."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self) -> None:
-        if type(self.index) is not int:
-            raise ValueError(f"index must be an int, got {self.index!r}")
+    def __init__(self, index: int) -> None:
+        if type(index) is not int:
+            raise ValueError(f"index must be an int, got {_shown(index)}")
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(_Value):
     """Free-form basis label."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        object.__setattr__(self, "text", text)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
 
 
 BasisLabel = Union[SpinWeight, Point, Named]
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
+class HierarchyLevel(_Value):
     """One hierarchy level: a scale index, the symmetry group acting at that
     scale, and a finite ordered basis realizing the coordinates on it."""
 
-    level_index: int
-    group: str
-    basis: tuple[BasisLabel, ...]
+    __slots__ = ("level_index", "group", "basis")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(self.basis))
+    def __init__(self, level_index: int, group: str, basis: tuple[BasisLabel, ...]) -> None:
+        object.__setattr__(self, "level_index", level_index)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "basis", tuple(basis))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level_index == other.level_index and self.group == other.group and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.level_index, self.group, self.basis))
 
 
-@dataclass(frozen=True)
-class NodeWave:
+class NodeWave(_Value):
     """Wave function of a single node: one complex amplitude per basis label."""
 
-    level: HierarchyLevel
-    amplitudes: tuple[complex, ...]
-    statistics: str = UNSPECIFIED
-    quantum_numbers: tuple[int, ...] | None = None
+    __slots__ = ("level", "amplitudes", "statistics", "quantum_numbers")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
-        if self.statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
-            raise ValueError(f"statistics must be one of {', '.join(STATISTICS)}, got {self.statistics!r}")
-        qn = self.quantum_numbers
+    def __init__(self, level: HierarchyLevel, amplitudes: tuple[complex, ...],
+                 statistics: str = UNSPECIFIED, quantum_numbers: tuple[int, ...] | None = None) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in amplitudes))
+        if statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
+            raise ValueError(f"statistics must be one of {', '.join(STATISTICS)}, got {_shown(statistics)}")
+        object.__setattr__(self, "statistics", statistics)
+        qn = quantum_numbers
         if qn is not None:
             # each element an int or an integral float, as in a state file
             ints = tuple(map(_as_integer, qn)) if isinstance(qn, (list, tuple)) else (None,)
             if None in ints:
-                raise ValueError(f"quantum_numbers must be a list of integers, got {qn!r}")
-            object.__setattr__(self, "quantum_numbers", ints)
+                raise ValueError(f"quantum_numbers must be a list of integers, got {_shown(qn)}")
+            qn = ints
+        object.__setattr__(self, "quantum_numbers", qn)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level == other.level and self.amplitudes == other.amplitudes
+                and self.statistics == other.statistics and self.quantum_numbers == other.quantum_numbers)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.amplitudes, self.statistics, self.quantum_numbers))
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
-class HierState:
+class HierState(_Value):
     """Hierarchical state: this node's wave plus the states of its direct
     components (children one level deeper).
 
     Equality and hash go over the pre-order (wave, child count) sequence,
     which fixes the tree, so they do not recurse and depth is unbounded."""
 
-    wave: NodeWave
-    children: tuple["HierState", ...] = ()
+    __slots__ = ("wave", "children")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, wave: NodeWave, children: tuple[HierState, ...] = ()) -> None:
+        object.__setattr__(self, "wave", wave)
+        object.__setattr__(self, "children", tuple(children))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -289,7 +339,7 @@ def _integer(obj: dict, key: str) -> int:
     """obj[key] as an int; JSON integers and integral floats only."""
     value = _as_integer(obj[key])
     if value is None:
-        raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+        raise ValueError(f"{key} must be an integer, got {_shown(obj[key])}")
     return value
 
 
@@ -308,12 +358,12 @@ def _amplitude(pair) -> complex:
             else:
                 if cmath.isfinite(z):
                     return z
-    raise ValueError(f"amplitudes must be [re, im] pairs of finite numbers, got {pair!r}")
+    raise ValueError(f"amplitudes must be [re, im] pairs of finite numbers, got {_shown(pair)}")
 
 
 def _label_from_obj(obj: dict) -> BasisLabel:
     if not isinstance(obj, dict):
-        raise TypeError(f"basis label is not an object: {obj!r}")
+        raise TypeError(f"basis label is not an object: {_shown(obj)}")
     kind = obj.get("type")
     if kind == "spin":
         return SpinWeight(_integer(obj, "twice_j"), _integer(obj, "twice_m"))
@@ -321,7 +371,7 @@ def _label_from_obj(obj: dict) -> BasisLabel:
         return Point(_integer(obj, "index"))
     if kind == "named":
         return Named(str(obj["text"]))
-    raise ValueError(f"unknown basis label type {kind!r}")
+    raise ValueError(f"unknown basis label type {_shown(kind)}")
 
 
 def state_to_obj(psi: HierState) -> dict:

@@ -69,6 +69,33 @@ def decompose_loads_rep_theory_alone():
     assert proc.returncode == 0, proc.stderr[-1000:]
 
 
+# no subcommand loads dataclasses, nor inspect, which dataclasses imports:
+# each value type is a plain class with __slots__; classify reads a series
+# written here, since none is bundled
+NO_DATACLASSES = """
+import math, os, sys
+from pathlib import Path
+import hierwave.cli
+data = sys.argv[1]
+Path('cos.csv').write_text(''.join(f'{math.cos(k / 50)}\\n' for k in range(200)))
+for argv in (['decompose', '--spins', '1/2,1/2,1'],
+             ['repair', '--scenario', os.path.join(data, 'hydra.json'), '--remove', '1,2'],
+             ['validate', '--state', os.path.join(data, 'two_spin_example.json')],
+             ['pauli', '--state', os.path.join(data, 'two_spin_example.json')],
+             ['info', '--state', os.path.join(data, 'two_spin_example.json')],
+             ['simulate', '--config', os.path.join(data, 'harmonic_benchmark.json'), '--out', 'nd.csv'],
+             ['classify', '--series', 'cos.csv', '--quantization', '0.05']):
+    assert hierwave.cli.main(argv) == 0, argv
+loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))
+assert loaded == [], loaded
+"""
+
+
+def no_subcommand_loads_dataclasses():
+    proc = _child("-c", NO_DATACLASSES, data(""))
+    assert proc.returncode == 0, proc.stderr[-1000:]
+
+
 def deep_scenario_and_long_index_fail_by_name():
     # a 600-level scenario and a 5,000-digit index exit 1 with a named error, not a traceback
     import hierwave.cli
@@ -223,6 +250,7 @@ def decompose_product_catalan():
 CHECKS = [
     import_package,
     decompose_loads_rep_theory_alone,
+    no_subcommand_loads_dataclasses,
     deep_scenario_and_long_index_fail_by_name,
     two_spin_labels_and_cut_errors,
     no_spring_spellings_and_colliding_sweep,

@@ -68,6 +68,31 @@ class TestSpecs:
         problems = Organism(target_irrep=ONE, components=(comp,)).validate()
         assert problems == ["/".join(["c"] * depth) + ": irrep 1 not contained in subcomponent product 1x[1/2]"]
 
+    def test_deep_organisms_compare_and_hash(self):
+        # two chains of depth 3,000 built apart: == and hash walk the pre-order
+        # sequence, with no recursion; a change at the leaf makes them differ
+        def chain(leaf_irrep):
+            comp = cell("leaf", leaf_irrep)
+            for _ in range(2999):
+                comp = cell("c", ONE, [comp])
+            return Organism(target_irrep=ONE, components=(comp, cell("e", HALF)))
+
+        a, b, c = chain(HALF), chain(HALF), chain(ONE)
+        assert a == b and hash(a) == hash(b)
+        assert a.components[0] == b.components[0] and hash(a.components[0]) == hash(b.components[0])
+        assert a != c and a.components[0] != c.components[0]
+
+    def test_equality_needs_the_same_tree(self):
+        # the same pre-order names and irreps, split differently between components
+        # or levels, or under another target, do not compare equal
+        a, b = cell("a", HALF), cell("b", HALF)
+        org = Organism(ZERO, (cell("p", ZERO, [a]), b))
+        assert org == Organism(ZERO, (cell("p", ZERO, [a]), b))
+        for other in (Organism(ZERO, (cell("p", ZERO, [a, b]),)), Organism(ONE, (cell("p", ZERO, [a]), b)),
+                      Organism(ZERO, (cell("p", ZERO, [a]), b, cell("c", HALF)))):
+            assert org != other
+        assert cell("p", ZERO, [a, b]) != cell("p", ZERO, [cell("a", HALF, [b])])
+
     def test_removal_must_be_nonempty(self):
         with pytest.raises(ValueError):
             RemovalAction(frozenset())

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -275,8 +274,10 @@ def _with_last_node(psi, change):
 
 
 def _relevel(node, **changes):
-    wave = node.wave
-    return HierState(replace(wave, level=replace(wave.level, **changes)), node.children)
+    wave, level = node.wave, node.wave.level
+    fields = {"level_index": level.level_index, "group": level.group, "basis": level.basis, **changes}
+    return HierState(NodeWave(HierarchyLevel(**fields), wave.amplitudes, wave.statistics, wave.quantum_numbers),
+                     node.children)
 
 
 _LAST_NODE_CHANGES = {
@@ -446,6 +447,43 @@ def test_labels_of_different_types_never_equal():
     for a, b in itertools.permutations(values, 2):
         assert a != b, (a, b)
     assert len(dict.fromkeys(values)) == len(values)
+
+
+_HUGE = list(range(100_000))  # its repr has 588,890 characters
+_LONG_TEXT = "x" * 100_000
+
+
+@pytest.mark.parametrize("key, value, prefix, bad", [
+    ("amplitudes", [_HUGE], "amplitudes must be [re, im] pairs of finite numbers, got ", _HUGE),
+    ("quantum_numbers", [0.5] * 100_000, "quantum_numbers must be a list of integers, got ", [0.5] * 100_000),
+    ("statistics", _LONG_TEXT, "statistics must be one of boson, fermion, unspecified, got ", _LONG_TEXT),
+    ("level", _HUGE, "level must be an integer, got ", _HUGE),
+    ("basis", [_HUGE], "basis label is not an object: ", _HUGE),
+    ("basis", [{"type": _LONG_TEXT}], "unknown basis label type ", _LONG_TEXT),
+    ("basis", [{"type": "spin", "twice_j": _HUGE, "twice_m": 1}], "twice_j must be an integer, got ", _HUGE),
+    ("basis", [{"type": "point", "index": _LONG_TEXT}], "index must be an integer, got ", _LONG_TEXT),
+], ids=["amplitude", "quantum_numbers", "statistics", "level", "label", "label_type", "twice_j", "index"])
+def test_state_loader_errors_show_at_most_500_characters_of_the_value(key, value, prefix, bad):
+    obj = {"level": 0, "group": SU2, "amplitudes": [[1.0, 0.0]], "basis": [{"type": "named", "text": "a"}],
+           key: value}
+    with pytest.raises((ValueError, TypeError)) as info:
+        state_from_obj(obj)
+    text = repr(bad)
+    assert str(info.value) == f"{prefix}{text[:500]}... ({len(text)} characters)"
+
+
+@pytest.mark.parametrize("make, message, bad", [
+    (lambda: SpinWeight(_LONG_TEXT, 0), "twice_j must be an int, got {}", _LONG_TEXT),
+    (lambda: SpinWeight(1, _HUGE), "twice_m must be an int, got {}", _HUGE),
+    (lambda: SpinWeight(-10**1000, 0), "twice_j must be >= 0, got {}", -10**1000),
+    (lambda: SpinWeight(1, 10**1000), "|m| > j for (2j, 2m) = (1, {})", 10**1000),
+    (lambda: Point(_HUGE), "index must be an int, got {}", _HUGE),
+], ids=["twice_j_type", "twice_m_type", "twice_j_sign", "twice_m_range", "index"])
+def test_label_errors_show_at_most_500_characters_of_the_value(make, message, bad):
+    text = repr(bad)
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message.format(f"{text[:500]}... ({len(text)} characters)")
 
 
 def test_integral_floats_in_a_state_file_still_load():
