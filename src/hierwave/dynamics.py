@@ -25,7 +25,11 @@ RK4 stage by the closed-form real root of the cubic on that branch
     b = 0:  v = p / a
 
 For b < 0 the branch ends where dp/dv = 0, at v = +-r and
-|p| = 2ar/3; a momentum beyond it raises LegendreSingularityError.  The
+|p| = 2ar/3; a momentum beyond it raises LegendreSingularityError.  Each
+block's inverse is chosen once per branch, so that RK4 stages call it
+without dispatch; the b = 0 one has no mass check, since its mass a is
+positive.  A sample whose x1, x2 or energy is not finite, as when RK4 runs
+far outside its stability interval, ends a run with NonFiniteStateError.  The
 energy column reports the conserved Jacobi energy
 h = sum_i (p_i v_i - L_i) + U + Lambda
   = sum_i [m0 v_i^2/2 + s1*s2 (lambda0 v_i^2/2 + 3/2 lambda1 v_i^4)] + U + Lambda,
@@ -35,6 +39,7 @@ which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 from typing import NamedTuple
 
 
@@ -44,6 +49,10 @@ class NonpositiveMassError(ValueError):
 
 class LegendreSingularityError(ValueError):
     """dp/dv is not positive: the momentum relation p(v) has no unique inverse."""
+
+
+class NonFiniteStateError(ValueError):
+    """A position or the energy overflowed to inf or NaN."""
 
 
 # The most steps a run may take: run() keeps every sample, about 312 bytes
@@ -190,30 +199,43 @@ def _branch(cfg: SimConfig, block: int) -> tuple:
     return block, a, b, 2.0 * r, 2.0 * a * r / 3.0
 
 
-def _velocity(branch: tuple, p: float) -> float:
-    """v(p) on the monotone branch, checked for dp/dv > 0 and positive mass."""
+def _inverse(branch: tuple):
+    """The branch's v(p); each but the b = 0 one checks dp/dv > 0 and mass."""
     block, a, b, two_r, p_c = branch
-    if two_r == 0.0:
-        v = p / a
+    if not b:
+        # the mass a + 0.5*0*v*v is a > 0, or NaN for a non-finite v, and NaN
+        # never compares <= 0: a mass check here could never fire
+        return lambda p: p / a
+    hb = 0.5 * b
+    if two_r == 0.0:  # b so small that r overflows
+        def inverse(p):
+            v = p / a
+            if (m := a + hb * v * v) <= 0.0:
+                raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
+            return v
     elif b > 0.0:
-        v = two_r * math.sinh(math.asinh(p / p_c) / 3.0)
-    elif -p_c < p < p_c:
-        v = two_r * math.sin(math.asin(p / p_c) / 3.0)
-    else:
-        raise LegendreSingularityError(
-            f"p={p!r} for block {block + 1} is past the turning momentum {p_c!r} where dp/dv = 0"
-        )
-    m = a + 0.5 * b * v * v
-    if m <= 0.0:
-        raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
-    return v
+        def inverse(p):
+            v = two_r * math.sinh(math.asinh(p / p_c) / 3.0)
+            if (m := a + hb * v * v) <= 0.0:
+                raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
+            return v
+    else:  # the branch ends at the turning momentum p_c
+        def inverse(p):
+            if not -p_c < p < p_c:
+                raise LegendreSingularityError(
+                    f"p={p!r} for block {block + 1} is past the turning momentum {p_c!r} where dp/dv = 0")
+            v = two_r * math.sin(math.asin(p / p_c) / 3.0)
+            if (m := a + hb * v * v) <= 0.0:
+                raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
+            return v
+    return inverse
 
 
 def invert_momentum(cfg: SimConfig, block: int, p: float) -> float:
     """Solve p = m0*v + s1*s2*(lambda0*v + 2*lambda1*v^3) for v in closed
     form on the branch where dp/dv > 0; raises LegendreSingularityError
     where that branch does not reach p."""
-    return _velocity(_branch(cfg, block), p)
+    return _inverse(_branch(cfg, block))(p)
 
 
 def _branches(cfg: SimConfig, v: tuple[float, float]) -> tuple[tuple, tuple]:
@@ -236,87 +258,67 @@ def potential_energy(cfg: SimConfig, x: tuple[float, float]) -> float:
     return 0.5 * cfg.k * r * r + cfg.kappa * (s[0] + s[1]) * (s[2] + s[3])
 
 
-def _block_energy(branch: tuple, v: float) -> float:
-    """p*v - L of one block: a v^2 / 2 + 3 b v^4 / 4."""
-    w = v * v
-    return w * (0.5 * branch[1] + 0.75 * branch[2] * w)
-
-
 def energy(cfg: SimConfig, x: tuple[float, float], v: tuple[float, float]) -> float:
     """Jacobi energy h = sum_i (p_i v_i - L_i) + U(|x1-x2|) + kappa*S1*S2 of an
-    admissible state; it reduces to sum m_i(v_i) v_i^2 / 2 + U + kappa*S1*S2
-    when lambda1 = 0."""
-    br1, br2 = _branches(cfg, v)
-    return _block_energy(br1, v[0]) + _block_energy(br2, v[1]) + potential_energy(cfg, x)
+    admissible state, p_i v_i - L_i being a v^2 / 2 + 3 b v^4 / 4; it reduces
+    to sum m_i(v_i) v_i^2 / 2 + U + kappa*S1*S2 when lambda1 = 0."""
+    (_, a1, b1, _, _), (_, a2, b2, _, _) = _branches(cfg, v)
+    w1, w2 = v[0] * v[0], v[1] * v[1]
+    return w1 * (0.5 * a1 + 0.75 * b1 * w1) + w2 * (0.5 * a2 + 0.75 * b2 * w2) + potential_energy(cfg, x)
 
 
-def _rk4(dt: float, k: float, br1: tuple, br2: tuple,
-         x1: float, x2: float, p1: float, p2: float, v1: float, v2: float):
-    """One classical RK4 step on (x1, x2, p1, p2) with force -k (x1 - x2) on
-    block 1; v1, v2 are the checked velocities at (p1, p2).  Returns the new
-    (x1, x2, p1, p2, v1, v2)."""
-    h = 0.5 * dt
-    f1 = -k * (x1 - x2)
-    u2 = _velocity(br1, p1 + h * f1)
-    w2 = _velocity(br2, p2 - h * f1)
-    f2 = -k * ((x1 + h * v1) - (x2 + h * v2))
-    u3 = _velocity(br1, p1 + h * f2)
-    w3 = _velocity(br2, p2 - h * f2)
-    f3 = -k * ((x1 + h * u2) - (x2 + h * w2))
-    u4 = _velocity(br1, p1 + dt * f3)
-    w4 = _velocity(br2, p2 - dt * f3)
-    f4 = -k * ((x1 + dt * u3) - (x2 + dt * w3))
-    s = dt / 6.0
-    df = s * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    p1 += df
-    p2 -= df
-    return (
-        x1 + s * (v1 + 2.0 * u2 + 2.0 * u3 + u4),
-        x2 + s * (v2 + 2.0 * w2 + 2.0 * w3 + w4),
-        p1,
-        p2,
-        _velocity(br1, p1),
-        _velocity(br2, p2),
-    )
+def _integrate(cfg: SimConfig, br1: tuple, br2: tuple, x: tuple, v: tuple):
+    """Classical RK4 on (x, p) with force -k (x1 - x2) on block 1, from the admissible
+    (x, v) on branches br1, br2: yields the checked (x1, x2, v1, v2) after each step."""
+    dt, h, s, nk = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0, -cfg.k
+    vel1, vel2 = _inverse(br1), _inverse(br2)
+    (x1, x2), (v1, v2) = x, v
+    p1, p2 = momentum(cfg, 0, v1), momentum(cfg, 1, v2)
+    while True:
+        f1 = nk * (x1 - x2)
+        u2 = vel1(p1 + h * f1)
+        w2 = vel2(p2 - h * f1)
+        f2 = nk * ((x1 + h * v1) - (x2 + h * v2))
+        u3 = vel1(p1 + h * f2)
+        w3 = vel2(p2 - h * f2)
+        f3 = nk * ((x1 + h * u2) - (x2 + h * w2))
+        u4 = vel1(p1 + dt * f3)
+        w4 = vel2(p2 - dt * f3)
+        f4 = nk * ((x1 + dt * u3) - (x2 + dt * w3))
+        df = s * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        p1 += df
+        p2 -= df
+        x1 += s * (v1 + 2.0 * u2 + 2.0 * u3 + u4)
+        x2 += s * (v2 + 2.0 * w2 + 2.0 * w3 + w4)
+        v1, v2 = vel1(p1), vel2(p2)
+        yield x1, x2, v1, v2
 
 
 def step(cfg: SimConfig, state: SimState) -> SimState:
     """Advance one dt by classical 4-stage Runge-Kutta on (x, p)."""
-    v1, v2 = state.v
-    br1, br2 = _branches(cfg, state.v)
-    x1, x2, _, _, v1, v2 = _rk4(
-        cfg.dt, cfg.k, br1, br2, state.x[0], state.x[1],
-        momentum(cfg, 0, v1), momentum(cfg, 1, v2), v1, v2,
-    )
+    x1, x2, v1, v2 = next(_integrate(cfg, *_branches(cfg, state.v), state.x, state.v))
     return SimState(t=state.t + cfg.dt, x=(x1, x2), v=(v1, v2))
 
 
 def run(cfg: SimConfig) -> Trajectory:
-    """Integrate for cfg.steps steps, sampling every step.
-
-    An inadmissible starting velocity, or a stage that loses mass
-    positivity or dp/dv > 0, ends the run: the partial trajectory is
-    returned with the error recorded instead of raised.
-    """
+    """Integrate for cfg.steps steps, sampling every step.  An inadmissible
+    starting velocity, a stage that loses mass positivity or dp/dv > 0, or a
+    sample whose x1, x2 or energy is not finite ends the run: the samples
+    before it are returned with the error recorded, not raised."""
     samples: list[TrajectorySample] = []
-    append = samples.append
-    dt, k = cfg.dt, cfg.k
-    lam = potential_energy(cfg, (0.0, 0.0))  # the constant kappa*S1*S2 term
-    t = 0.0
-    x1, x2 = cfg.x_init
-    v1, v2 = cfg.v_init
+    append, new, isfinite = samples.append, tuple.__new__, math.isfinite
+    dt, hk, t, lam = cfg.dt, 0.5 * cfg.k, 0.0, potential_energy(cfg, (0.0, 0.0))  # lam = kappa*S1*S2
     try:
-        br1, br2 = _branches(cfg, cfg.v_init)
-        a1, b1, a2, b2 = br1[1], 0.5 * br1[2], br2[1], 0.5 * br2[2]
-        p1, p2 = momentum(cfg, 0, v1), momentum(cfg, 1, v2)
-        for n in range(cfg.steps + 1):
-            if n:  # n = 0 samples the initial state
-                x1, x2, p1, p2, v1, v2 = _rk4(dt, k, br1, br2, x1, x2, p1, p2, v1, v2)
-                t += dt
-            r = x1 - x2
-            e = _block_energy(br1, v1) + _block_energy(br2, v2) + (0.5 * k * r * r + lam)
-            append(TrajectorySample(t, x1, x2, v1, v2, a1 + b1 * v1 * v1, a2 + b2 * v2 * v2, e))
-    except (NonpositiveMassError, LegendreSingularityError) as exc:
+        (_, a1, b1, _, _), (_, a2, b2, _, _) = br1, br2 = _branches(cfg, cfg.v_init)
+        states = islice(_integrate(cfg, br1, br2, cfg.x_init, cfg.v_init), cfg.steps)
+        for x1, x2, v1, v2 in chain((cfg.x_init + cfg.v_init,), states):
+            r, w1, w2 = x1 - x2, v1 * v1, v2 * v2
+            e = w1 * (0.5 * a1 + 0.75 * b1 * w1) + w2 * (0.5 * a2 + 0.75 * b2 * w2) + (hk * r * r + lam)
+            if not (isfinite(x1) and isfinite(x2) and isfinite(e)):
+                raise NonFiniteStateError(f"x1={x1!r}, x2={x2!r}, E_total={e!r} at t={t!r}: not all finite")
+            append(new(TrajectorySample, (t, x1, x2, v1, v2, a1 + 0.5 * b1 * v1 * v1, a2 + 0.5 * b2 * v2 * v2, e)))
+            t += dt
+    except (NonpositiveMassError, LegendreSingularityError, NonFiniteStateError) as exc:
         return Trajectory(samples, f"{type(exc).__name__}: {exc}")
     return Trajectory(samples)
 

@@ -12,7 +12,17 @@ from typing import Sequence
 import numpy as np
 
 from hierwave.complexity import _first_appearance, _gamma_len, _header_bits, _zigzag
-from hierwave.dynamics import SimConfig, momentum
+from hierwave.dynamics import (
+    LegendreSingularityError,
+    NonpositiveMassError,
+    SimConfig,
+    SimState,
+    Trajectory,
+    TrajectorySample,
+    effective_mass,
+    momentum,
+    potential_energy,
+)
 from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
 from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product
 from hierwave.repair_cascade import ComponentSpec
@@ -418,6 +428,124 @@ def newton_invert_momentum(
             return v_new
         v = v_new
     raise RuntimeError(f"no convergence inverting p={p!r} for block {block + 1}")
+
+
+# Reference integrator for hierwave.dynamics: the step loop as it stood before
+# each block's inverse was chosen once per branch.  Every RK4 stage unpacks
+# the branch tuple and dispatches on b and 2r; run() and step() must match it
+# bit for bit up to the first sample that is not finite, which it keeps.
+
+
+def reference_branch(cfg: SimConfig, block: int) -> tuple:
+    """Constants (block, a, b, 2r, p_c) of the monotone branch of p = a*v + b*v^3."""
+    sig = cfg.spin_product(block)
+    a = cfg.m0 + sig * cfg.lambda0
+    b = 2.0 * sig * cfg.lambda1
+    if a <= 0.0:
+        raise LegendreSingularityError(
+            f"dp/dv at v=0 is {a!r} <= 0 for block {block + 1}: p(v) is not monotone"
+        )
+    r = math.sqrt(a / (3.0 * abs(b))) if b else math.inf
+    if r == math.inf:
+        return block, a, b, 0.0, 0.0
+    return block, a, b, 2.0 * r, 2.0 * a * r / 3.0
+
+
+def reference_velocity(branch: tuple, p: float) -> float:
+    block, a, b, two_r, p_c = branch
+    if two_r == 0.0:
+        v = p / a
+    elif b > 0.0:
+        v = two_r * math.sinh(math.asinh(p / p_c) / 3.0)
+    elif -p_c < p < p_c:
+        v = two_r * math.sin(math.asin(p / p_c) / 3.0)
+    else:
+        raise LegendreSingularityError(
+            f"p={p!r} for block {block + 1} is past the turning momentum {p_c!r} where dp/dv = 0"
+        )
+    m = a + 0.5 * b * v * v
+    if m <= 0.0:
+        raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
+    return v
+
+
+def reference_branches(cfg: SimConfig, v: tuple[float, float]) -> tuple[tuple, tuple]:
+    out = []
+    for i in (0, 1):
+        effective_mass(cfg, i, v[i])
+        branch = reference_branch(cfg, i)
+        slope = branch[1] + 3.0 * branch[2] * v[i] * v[i]
+        if slope <= 0.0:
+            raise LegendreSingularityError(f"dp/dv = {slope!r} <= 0 for block {i + 1} at v={v[i]!r}")
+        out.append(branch)
+    return out[0], out[1]
+
+
+def _reference_block_energy(branch: tuple, v: float) -> float:
+    w = v * v
+    return w * (0.5 * branch[1] + 0.75 * branch[2] * w)
+
+
+def reference_rk4(dt, k, br1, br2, x1, x2, p1, p2, v1, v2):
+    """One RK4 step on (x1, x2, p1, p2); returns the new (x1, x2, p1, p2, v1, v2)."""
+    h = 0.5 * dt
+    f1 = -k * (x1 - x2)
+    u2 = reference_velocity(br1, p1 + h * f1)
+    w2 = reference_velocity(br2, p2 - h * f1)
+    f2 = -k * ((x1 + h * v1) - (x2 + h * v2))
+    u3 = reference_velocity(br1, p1 + h * f2)
+    w3 = reference_velocity(br2, p2 - h * f2)
+    f3 = -k * ((x1 + h * u2) - (x2 + h * w2))
+    u4 = reference_velocity(br1, p1 + dt * f3)
+    w4 = reference_velocity(br2, p2 - dt * f3)
+    f4 = -k * ((x1 + dt * u3) - (x2 + dt * w3))
+    s = dt / 6.0
+    df = s * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    p1 += df
+    p2 -= df
+    return (
+        x1 + s * (v1 + 2.0 * u2 + 2.0 * u3 + u4),
+        x2 + s * (v2 + 2.0 * w2 + 2.0 * w3 + w4),
+        p1,
+        p2,
+        reference_velocity(br1, p1),
+        reference_velocity(br2, p2),
+    )
+
+
+def reference_step(cfg: SimConfig, state: SimState) -> SimState:
+    v1, v2 = state.v
+    br1, br2 = reference_branches(cfg, state.v)
+    x1, x2, _, _, v1, v2 = reference_rk4(
+        cfg.dt, cfg.k, br1, br2, state.x[0], state.x[1],
+        momentum(cfg, 0, v1), momentum(cfg, 1, v2), v1, v2,
+    )
+    return SimState(t=state.t + cfg.dt, x=(x1, x2), v=(v1, v2))
+
+
+def reference_run(cfg: SimConfig) -> Trajectory:
+    """The trajectory with every sample, finite or not: only an inadmissible
+    state ends it early, with the error recorded."""
+    samples = []
+    dt, k = cfg.dt, cfg.k
+    lam = potential_energy(cfg, (0.0, 0.0))
+    t = 0.0
+    x1, x2 = cfg.x_init
+    v1, v2 = cfg.v_init
+    try:
+        br1, br2 = reference_branches(cfg, cfg.v_init)
+        a1, b1, a2, b2 = br1[1], 0.5 * br1[2], br2[1], 0.5 * br2[2]
+        p1, p2 = momentum(cfg, 0, v1), momentum(cfg, 1, v2)
+        for n in range(cfg.steps + 1):
+            if n:
+                x1, x2, p1, p2, v1, v2 = reference_rk4(dt, k, br1, br2, x1, x2, p1, p2, v1, v2)
+                t += dt
+            r = x1 - x2
+            e = _reference_block_energy(br1, v1) + _reference_block_energy(br2, v2) + (0.5 * k * r * r + lam)
+            samples.append(TrajectorySample(t, x1, x2, v1, v2, a1 + b1 * v1 * v1, a2 + b2 * v2 * v2, e))
+    except (NonpositiveMassError, LegendreSingularityError) as exc:
+        return Trajectory(samples, f"{type(exc).__name__}: {exc}")
+    return Trajectory(samples)
 
 
 # Bit-exact reference coder for hierwave.complexity: builds the stream that

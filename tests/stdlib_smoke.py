@@ -168,6 +168,19 @@ def no_spring_spellings_and_colliding_sweep():
     assert glob.glob('collide*') == [], glob.glob('collide*')
 
 
+def stiff_simulate_fails_by_name():
+    # RK4 far outside its stability interval overflows: simulate exits 1 with a
+    # named error and writes only the finite samples
+    cfg = json.loads(Path(data('harmonic_benchmark.json')).read_text())
+    cfg.update(potential_U={'type': 'harmonic', 'k': 1e6}, x_init=[1, 0], dt=1, steps=400)
+    Path('stiff.json').write_text(json.dumps(cfg))
+    proc = _child('-m', 'hierwave.cli', 'simulate', '--config', 'stiff.json', '--out', 'stiff.csv')
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-1000:])
+    assert proc.stderr.startswith('error: NonFiniteStateError: ') and 'Traceback' not in proc.stderr, proc.stderr
+    text = Path('stiff.csv').read_text()
+    assert 'nan' not in text and len(text.splitlines()) == 15, text[-300:]
+
+
 def cli_decompose():
     _cli('decompose', '--spins', '1/2,1/2,1')
 
@@ -254,6 +267,7 @@ CHECKS = [
     deep_scenario_and_long_index_fail_by_name,
     two_spin_labels_and_cut_errors,
     no_spring_spellings_and_colliding_sweep,
+    stiff_simulate_fails_by_name,
     cli_decompose,
     cli_repair,
     cli_validate,

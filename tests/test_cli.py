@@ -266,6 +266,31 @@ class TestSimulate:
         assert len(outputs[0].splitlines()) == 52
         assert outputs == [outputs[0]] * 4
 
+    def test_non_finite_run_exits_1_and_writes_no_nan(self, tmp_path, capsys):
+        # RK4 at dt*omega0 = 1.4e3 overflows: the finite samples are written,
+        # then the run fails by name
+        cfg_path = _harmonic_config(tmp_path, **STIFF)
+        out_path = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: NonFiniteStateError: x1=")
+        assert captured.err.endswith(" at t=14.0: not all finite\n") and "Traceback" not in captured.err
+        text = out_path.read_text()
+        assert len(text.splitlines()) == 15 and "nan" not in text and "inf" not in text
+        assert main(["simulate", "--config", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 15 and "nan" not in captured.out
+
+    def test_sweep_records_non_finite_runs(self, tmp_path, capsys):
+        prefix = str(tmp_path / "sweep")
+        code = main(["simulate", "--config", _harmonic_config(tmp_path, **STIFF), "--out", prefix,
+                     "--sweep", "dt=0.001:1:2"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].startswith("0.001,") and rows[0].endswith(",")
+        assert rows[1].startswith("1,") and ",NonFiniteStateError: x1=" in rows[1]
+        assert "nan" not in (tmp_path / "sweep_dt_1.csv").read_text()
+
     def test_sweep_over_unsweepable_field_is_domain_error(self, tmp_path, capsys):
         prefix = str(tmp_path / "sweep")
         code = main(
@@ -452,6 +477,10 @@ def test_integral_float_state_fields_accepted(tmp_path, capsys):
     mutated = capsys.readouterr().out
     assert main(["validate", "--state", data_path("two_spin_example.json")]) == 0
     assert mutated == capsys.readouterr().out
+
+
+# the harmonic benchmark with a spring so stiff that RK4 at dt = 1 overflows
+STIFF = {"potential_U": {"type": "harmonic", "k": 1e6}, "x_init": [1.0, 0.0], "dt": 1.0, "steps": 400}
 
 
 def _harmonic_config(tmp_path, **changes):

@@ -7,6 +7,7 @@ import pytest
 from hierwave.dynamics import (
     LegendreSingularityError,
     MAX_STEPS,
+    NonFiniteStateError,
     NonpositiveMassError,
     SimConfig,
     SimState,
@@ -22,7 +23,7 @@ from hierwave.dynamics import (
     write_trajectory_csv,
 )
 
-from helpers import newton_invert_momentum, reference_constant_mass_rk4
+from helpers import newton_invert_momentum, reference_constant_mass_rk4, reference_run, reference_step
 
 UP = (0.5, 0.5, 0.5, 0.5)  # spin products +1/4, +1/4
 MIXED = (0.5, -0.5, 0.5, 0.5)  # spin products -1/4, +1/4
@@ -401,6 +402,109 @@ class TestOneForm:
                 assert energy(cfg, (s.x1, s.x2), (s.v1, s.v2)) == s.e_total
                 compared += 1
         assert compared > 2000
+
+
+STIFF = dict(m0=1.0, spins=UP, k=1e6, x_init=(1.0, 0.0), dt=1.0, steps=400)  # dt*omega0 = 1.4e3
+
+
+def _finite(sample) -> bool:
+    return math.isfinite(sample.x1) and math.isfinite(sample.x2) and math.isfinite(sample.e_total)
+
+
+def _hex(values) -> tuple:
+    return tuple(map(float.hex, values))
+
+
+def seeded_config(rng: random.Random) -> SimConfig:
+    """A config anywhere the integrator's branches differ: lambda1 = 0, the
+    p/a fallback at lambda1 = +-1e-310, stiffening and softening cubic terms
+    strong enough to pass the turning momentum, a = m0 + s1*s2*lambda0 near
+    or below 0, starting masses at or below 0, springs stiff enough to
+    overflow, and dt up to 1."""
+    return config(
+        m0=rng.uniform(0.5, 2.0),
+        spins=tuple(rng.choice((0.5, -0.5)) for _ in range(4)),
+        lambda0=rng.choice((0.0, rng.uniform(-1.0, 1.0), rng.uniform(3.0, 8.0))),
+        lambda1=rng.choice((0.0, 1e-310, -1e-310, rng.uniform(-0.05, 0.05), rng.uniform(-3.0, 3.0))),
+        k=rng.choice((0.0, rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(2.0, 12.0))),
+        kappa=rng.uniform(-1.0, 1.0),
+        x_init=(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+        v_init=(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
+        dt=10.0 ** rng.uniform(-4.0, 0.0),
+        steps=rng.randint(0, 80),
+    )
+
+
+class TestReferenceIdentity:
+    """run() and step() against the reference integrator in helpers, which
+    dispatches on the branch at every RK4 stage: the same bits, the same
+    number of samples and the same error strings."""
+
+    def test_run_matches_reference(self):
+        rng = random.Random(18)
+        outcomes = {}
+        for _ in range(1200):
+            cfg = seeded_config(rng)
+            got, want = run(cfg), reference_run(cfg)
+            cut = next((i for i, s in enumerate(want.samples) if not _finite(s)), None)
+            if cut is not None:  # the reference writes the non-finite sample and goes on
+                bad = want.samples[cut]
+                error = (f"NonFiniteStateError: x1={bad.x1!r}, x2={bad.x2!r}, "
+                         f"E_total={bad.e_total!r} at t={bad.t!r}: not all finite")
+                want = want._replace(samples=want.samples[:cut], error=error)
+            assert [_hex(s) for s in got.samples] == [_hex(s) for s in want.samples], cfg
+            assert got.error == want.error, cfg
+            kind = (got.error or "none").split(":")[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        # every way a run can end is exercised
+        assert set(outcomes) == {"none", "NonFiniteStateError", "NonpositiveMassError",
+                                 "LegendreSingularityError"}, outcomes
+        assert min(outcomes.values()) >= 40, outcomes
+
+    def test_step_matches_reference(self):
+        rng = random.Random(19)
+        raised = 0
+        for _ in range(1000):
+            cfg = seeded_config(rng)
+            got = want = SimState(t=0.0, x=cfg.x_init, v=cfg.v_init)
+            for _ in range(3):
+                try:
+                    want = reference_step(cfg, want)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)) as info:
+                        step(cfg, got)
+                    assert str(info.value) == str(exc), cfg
+                    raised += 1
+                    break
+                got = step(cfg, got)
+                assert _hex((got.t, *got.x, *got.v)) == _hex((want.t, *want.x, *want.v)), cfg
+        assert raised >= 100
+
+
+class TestNonFiniteState:
+    def test_stiff_run_ends_with_named_error(self):
+        # RK4 far outside its stability interval: the 14 samples before the
+        # first non-finite one are kept, as they are for the other errors
+        cfg = config(**STIFF)
+        traj = run(cfg)
+        assert traj.error.startswith("NonFiniteStateError: x1=")
+        assert traj.error.endswith(", E_total=nan at t=14.0: not all finite")
+        assert len(traj.samples) == 14 and all(map(_finite, traj.samples))
+        assert traj.samples == reference_run(cfg).samples[:14]
+
+    @pytest.mark.parametrize("k, e_total", [(1.0, "inf"), (0.0, "nan")])
+    def test_overflowing_start_fails_at_sample_zero(self, k, e_total):
+        # x1 - x2 overflows: U is inf with a spring, NaN (0 * inf) without
+        traj = run(config(k=k, x_init=(1e308, -1e308)))
+        assert traj.samples == []
+        assert traj.error == (f"NonFiniteStateError: x1=1e+308, x2=-1e+308, E_total={e_total} "
+                              f"at t=0.0: not all finite")
+        assert issubclass(NonFiniteStateError, ValueError)
+
+    def test_large_finite_positions_are_kept(self):
+        # each value is checked on its own: x1 + x2 overflows here, the state does not
+        traj = run(config(x_init=(1e308, 1e308), v_init=(0.5, 0.5)))
+        assert traj.error is None and len(traj.samples) == 11
 
 
 class TestConfigIO:
