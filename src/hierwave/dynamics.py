@@ -27,10 +27,11 @@ RK4 stage by the closed-form real root of the cubic on that branch
 For b < 0 the branch ends where dp/dv = 0, at v = +-r and
 |p| = 2ar/3; a momentum beyond it raises LegendreSingularityError.  Each
 block's inverse is chosen once per branch, so that RK4 stages call it
-without dispatch; the b = 0 one has no mass check, since its mass a is
-positive.  A sample whose x1, x2 or energy is not finite, as when RK4 runs
-far outside its stability interval, ends a run with NonFiniteStateError.  The
-energy column reports the conserved Jacobi energy
+without dispatch; only the one for a |b| so small that r overflows checks
+the mass, which is positive on every other branch.  A sample whose x1, x2
+or energy is not finite, as when RK4 runs far outside its stability
+interval, or a velocity whose momentum overflows ends a run with
+NonFiniteStateError.  The energy column reports the conserved Jacobi energy
 h = sum_i (p_i v_i - L_i) + U + Lambda
   = sum_i [m0 v_i^2/2 + s1*s2 (lambda0 v_i^2/2 + 3/2 lambda1 v_i^4)] + U + Lambda,
 which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
@@ -178,7 +179,11 @@ def effective_mass(cfg: SimConfig, block: int, v: float) -> float:
 
 def momentum(cfg: SimConfig, block: int, v: float) -> float:
     sig = cfg.spin_product(block)
-    return cfg.m0 * v + sig * (cfg.lambda0 * v + 2.0 * cfg.lambda1 * v**3)
+    try:
+        cube = v**3  # a float ** raises past |v| ~ 5.6e102, where v * v * v would give inf
+    except OverflowError:
+        raise NonFiniteStateError(f"momentum of block {block + 1} overflows at v={v!r}") from None
+    return cfg.m0 * v + sig * (cfg.lambda0 * v + 2.0 * cfg.lambda1 * cube)
 
 
 def _branch(cfg: SimConfig, block: int) -> tuple:
@@ -200,34 +205,26 @@ def _branch(cfg: SimConfig, block: int) -> tuple:
 
 
 def _inverse(branch: tuple):
-    """The branch's v(p); each but the b = 0 one checks dp/dv > 0 and mass."""
+    """The branch's v(p).  Only the tiny-b form checks the mass a + b v^2 / 2:
+    for b = 0 it is a > 0 (or NaN, which never compares <= 0), for b > 0 at
+    least a, and on the b < 0 branch, where |v| < r, above 5a/6."""
     block, a, b, two_r, p_c = branch
     if not b:
-        # the mass a + 0.5*0*v*v is a > 0, or NaN for a non-finite v, and NaN
-        # never compares <= 0: a mass check here could never fire
         return lambda p: p / a
-    hb = 0.5 * b
     if two_r == 0.0:  # b so small that r overflows
         def inverse(p):
             v = p / a
-            if (m := a + hb * v * v) <= 0.0:
+            if (m := a + 0.5 * b * v * v) <= 0.0:
                 raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
             return v
     elif b > 0.0:
-        def inverse(p):
-            v = two_r * math.sinh(math.asinh(p / p_c) / 3.0)
-            if (m := a + hb * v * v) <= 0.0:
-                raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
-            return v
+        return lambda p: two_r * math.sinh(math.asinh(p / p_c) / 3.0)
     else:  # the branch ends at the turning momentum p_c
         def inverse(p):
             if not -p_c < p < p_c:
                 raise LegendreSingularityError(
                     f"p={p!r} for block {block + 1} is past the turning momentum {p_c!r} where dp/dv = 0")
-            v = two_r * math.sin(math.asin(p / p_c) / 3.0)
-            if (m := a + hb * v * v) <= 0.0:
-                raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
-            return v
+            return two_r * math.sin(math.asin(p / p_c) / 3.0)
     return inverse
 
 
@@ -314,7 +311,7 @@ def run(cfg: SimConfig) -> Trajectory:
         for x1, x2, v1, v2 in chain((cfg.x_init + cfg.v_init,), states):
             r, w1, w2 = x1 - x2, v1 * v1, v2 * v2
             e = w1 * (0.5 * a1 + 0.75 * b1 * w1) + w2 * (0.5 * a2 + 0.75 * b2 * w2) + (hk * r * r + lam)
-            if not (isfinite(x1) and isfinite(x2) and isfinite(e)):
+            if not isfinite(e):  # also when x1 or x2 is not: hk * r * r is then +-inf or NaN
                 raise NonFiniteStateError(f"x1={x1!r}, x2={x2!r}, E_total={e!r} at t={t!r}: not all finite")
             append(new(TrajectorySample, (t, x1, x2, v1, v2, a1 + 0.5 * b1 * v1 * v1, a2 + 0.5 * b2 * v2 * v2, e)))
             t += dt

@@ -55,12 +55,16 @@ def format_j(twice_j: int) -> str:
     return str(twice_j // 2) if twice_j % 2 == 0 else f"{twice_j}/2"
 
 
+def _int_text(n: int):
+    """n for a message, or "an int of N bits" above 1024 bits: str() of an int
+    above sys.get_int_max_str_digits() digits would raise."""
+    return n if n.bit_length() <= 1024 else f"an int of {n.bit_length()} bits"
+
+
 def check_spin_range(twice_j: int) -> None:
     """Raise SpinRangeError if 2j is above MAX_TWICE_J."""
     if twice_j > MAX_TWICE_J:
-        # str() of an int above sys.get_int_max_str_digits() digits would raise
-        got = twice_j if twice_j.bit_length() <= 1024 else f"an int of {twice_j.bit_length()} bits"
-        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {got}")
+        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {_int_text(twice_j)}")
 
 
 def parse_j(text: str) -> int:
@@ -122,7 +126,7 @@ class IrrepLabel(_Value):
         if type(twice_j) is not int:
             raise ValueError(f"twice_j must be an int, got {twice_j!r}")
         if twice_j < 0:
-            raise ValueError(f"twice_j must be >= 0, got {twice_j}")
+            raise ValueError(f"twice_j must be >= 0, got {_int_text(twice_j)}")
         object.__setattr__(self, "twice_j", twice_j)
 
     def __eq__(self, other: object) -> bool:

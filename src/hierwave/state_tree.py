@@ -36,8 +36,14 @@ _SHOWN = 500
 
 
 def _shown(value) -> str:
-    """repr(value), or its first _SHOWN characters and its length when longer."""
-    text = repr(value)
+    """repr(value), or its first _SHOWN characters and its length when longer;
+    an int too long for repr() shows its size."""
+    try:
+        text = repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        if not isinstance(value, int):
+            raise
+        return f"an int of {value.bit_length()} bits"
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
 
 
@@ -147,7 +153,7 @@ class NodeWave(_Value):
     def __init__(self, level: HierarchyLevel, amplitudes: tuple[complex, ...],
                  statistics: str = UNSPECIFIED, quantum_numbers: tuple[int, ...] | None = None) -> None:
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in amplitudes))
+        object.__setattr__(self, "amplitudes", tuple(map(complex, amplitudes)))
         if statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
             raise ValueError(f"statistics must be one of {', '.join(STATISTICS)}, got {_shown(statistics)}")
         object.__setattr__(self, "statistics", statistics)
@@ -227,7 +233,8 @@ def _assemble(pairs: Iterable[tuple[NodeWave, int]]) -> HierState:
     pre-order each node finds its subtrees on the stack, first child on top."""
     stack: list[HierState] = []
     for wave, n_children in reversed(list(pairs)):
-        stack.append(HierState(wave, tuple(stack.pop() for _ in range(n_children))))
+        top = len(stack) - n_children
+        stack[top:] = [HierState(wave, stack[top:][::-1])]
     return stack[0]
 
 
@@ -245,7 +252,7 @@ def dominant_label(wave: NodeWave) -> BasisLabel:
 def scalar_mul(a: complex, psi: HierState) -> HierState:
     """Multiply every amplitude at every node by a; tree shape is preserved."""
     return _assemble(
-        (NodeWave(w.level, tuple(a * x for x in w.amplitudes), w.statistics, w.quantum_numbers), n)
+        (NodeWave(w.level, [a * x for x in w.amplitudes], w.statistics, w.quantum_numbers), n)
         for w, n in _preorder(psi)
     )
 
@@ -263,7 +270,7 @@ def add(phi: HierState, psi: HierState) -> HierState:
     if not congruent(phi, psi):
         raise ShapeMismatchError("cannot add non-congruent hierarchical states")
     return _assemble(
-        (NodeWave(p.level, tuple(x + y for x, y in zip(p.amplitudes, q.amplitudes)),
+        (NodeWave(p.level, [x + y for x, y in zip(p.amplitudes, q.amplitudes)],
                   p.statistics, p.quantum_numbers), n)
         for (p, n), (q, _) in zip(_preorder(phi), _preorder(psi))
     )
@@ -327,12 +334,13 @@ def _label_to_obj(label: BasisLabel) -> dict:
 
 
 def _as_integer(value) -> int | None:
-    """value as an int if it is a JSON integer or an integral float, else None."""
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else None
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value
+    """value as an int if it is an exact int, as a JSON integer is, or an
+    integral float, else None: a bool or another int subclass is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
 
 
 def _integer(obj: dict, key: str) -> int:
@@ -361,17 +369,23 @@ def _amplitude(pair) -> complex:
     raise ValueError(f"amplitudes must be [re, im] pairs of finite numbers, got {_shown(pair)}")
 
 
-def _label_from_obj(obj: dict) -> BasisLabel:
+def _label_key(obj: dict, shared: dict) -> tuple:
+    """The label's class and checked fields; the label itself is built into
+    shared the first time its key appears."""
     if not isinstance(obj, dict):
         raise TypeError(f"basis label is not an object: {_shown(obj)}")
     kind = obj.get("type")
     if kind == "spin":
-        return SpinWeight(_integer(obj, "twice_j"), _integer(obj, "twice_m"))
-    if kind == "point":
-        return Point(_integer(obj, "index"))
-    if kind == "named":
-        return Named(str(obj["text"]))
-    raise ValueError(f"unknown basis label type {_shown(kind)}")
+        key = SpinWeight, _integer(obj, "twice_j"), _integer(obj, "twice_m")
+    elif kind == "point":
+        key = Point, _integer(obj, "index")
+    elif kind == "named":
+        key = Named, str(obj["text"])
+    else:
+        raise ValueError(f"unknown basis label type {_shown(kind)}")
+    if key not in shared:
+        shared[key] = key[0](*key[1:])
+    return key
 
 
 def state_to_obj(psi: HierState) -> dict:
@@ -393,26 +407,29 @@ def state_to_obj(psi: HierState) -> dict:
 
 
 def state_from_obj(obj: dict) -> HierState:
-    level = HierarchyLevel(
-        level_index=_integer(obj, "level"),
-        group=str(obj["group"]),
-        basis=tuple(_label_from_obj(b) for b in obj["basis"]),
-    )
-    wave = NodeWave(
-        level=level,
-        amplitudes=tuple(map(_amplitude, obj["amplitudes"])),
-        statistics=obj.get("statistics", UNSPECIFIED),
-        quantum_numbers=obj.get("quantum_numbers"),  # checked by NodeWave
-    )
+    """The tree of a state document.  Each distinct level, and each distinct
+    label, is built once per call and shared by every node that has it."""
     try:
-        return HierState(wave, tuple(state_from_obj(c) for c in obj.get("children", [])))
+        return _state_from_obj(obj, {})
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
 
 
+def _state_from_obj(obj: dict, shared: dict) -> HierState:
+    # shared maps each key, the checked content of a level (level int, group,
+    # label keys) or of a label (class, fields), to the one object built for it
+    key = _integer(obj, "level"), str(obj["group"]), tuple([_label_key(b, shared) for b in obj["basis"]])
+    if key not in shared:
+        shared[key] = HierarchyLevel(key[0], key[1], map(shared.__getitem__, key[2]))
+    # the amplitudes are checked as NodeWave reads them, before it checks the rest
+    wave = NodeWave(shared[key], map(_amplitude, obj["amplitudes"]), obj.get("statistics", UNSPECIFIED),
+                    obj.get("quantum_numbers"))
+    return HierState(wave, [_state_from_obj(c, shared) for c in obj.get("children", [])])
+
+
 def state_to_json(psi: HierState) -> str:
     try:
-        return json.dumps(state_to_obj(psi))
+        return json.dumps(state_to_obj(psi), check_circular=False)  # state_to_obj builds no cycle
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
 

@@ -27,14 +27,21 @@ from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
 from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product
 from hierwave.repair_cascade import ComponentSpec
 from hierwave.state_tree import (
+    _TOO_DEEP,
     FERMION,
+    BasisLabel,
     HierarchyLevel,
     HierState,
     Named,
     NodeWave,
+    Point,
     SU2,
     SpinWeight,
+    StateTooDeepError,
     UNSPECIFIED,
+    _amplitude,
+    _integer,
+    _shown,
     dominant_label,
 )
 
@@ -306,6 +313,40 @@ def reference_add(phi: HierState, psi: HierState) -> HierState:
     wave = NodeWave(p.level, tuple(x + y for x, y in zip(p.amplitudes, q.amplitudes)),
                     p.statistics, p.quantum_numbers)
     return HierState(wave, tuple(reference_add(a, b) for a, b in zip(phi.children, psi.children)))
+
+
+def reference_label_from_obj(obj: dict) -> BasisLabel:
+    """A basis label of a state document, built anew on every call: the loader
+    as it stood before each load shared its levels and labels."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"basis label is not an object: {_shown(obj)}")
+    kind = obj.get("type")
+    if kind == "spin":
+        return SpinWeight(_integer(obj, "twice_j"), _integer(obj, "twice_m"))
+    if kind == "point":
+        return Point(_integer(obj, "index"))
+    if kind == "named":
+        return Named(str(obj["text"]))
+    raise ValueError(f"unknown basis label type {_shown(kind)}")
+
+
+def reference_state_from_obj(obj: dict) -> HierState:
+    """The tree of a state document with a new level and new labels at every node."""
+    level = HierarchyLevel(
+        level_index=_integer(obj, "level"),
+        group=str(obj["group"]),
+        basis=tuple(reference_label_from_obj(b) for b in obj["basis"]),
+    )
+    wave = NodeWave(
+        level=level,
+        amplitudes=tuple(map(_amplitude, obj["amplitudes"])),
+        statistics=obj.get("statistics", UNSPECIFIED),
+        quantum_numbers=obj.get("quantum_numbers"),  # checked by NodeWave
+    )
+    try:
+        return HierState(wave, tuple(reference_state_from_obj(c) for c in obj.get("children", [])))
+    except RecursionError:
+        raise StateTooDeepError(_TOO_DEEP) from None
 
 
 def reference_congruent(phi: HierState, psi: HierState) -> bool:

@@ -181,6 +181,18 @@ def stiff_simulate_fails_by_name():
     assert 'nan' not in text and len(text.splitlines()) == 15, text[-300:]
 
 
+def overflowing_momentum_fails_by_name():
+    # a starting velocity whose cube overflows a float: simulate exits 1 with a named
+    # error after sample 0, not with an OverflowError traceback
+    cfg = json.loads(Path(data('harmonic_benchmark.json')).read_text())
+    cfg['v_init'] = [1e103, 0]
+    Path('fast.json').write_text(json.dumps(cfg))
+    proc = _child('-m', 'hierwave.cli', 'simulate', '--config', 'fast.json', '--out', 'fast.csv')
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-1000:])
+    assert proc.stderr.startswith('error: NonFiniteStateError: ') and 'Traceback' not in proc.stderr, proc.stderr
+    assert len(Path('fast.csv').read_text().splitlines()) == 2
+
+
 def cli_decompose():
     _cli('decompose', '--spins', '1/2,1/2,1')
 
@@ -268,6 +280,7 @@ CHECKS = [
     two_spin_labels_and_cut_errors,
     no_spring_spellings_and_colliding_sweep,
     stiff_simulate_fails_by_name,
+    overflowing_momentum_fails_by_name,
     cli_decompose,
     cli_repair,
     cli_validate,

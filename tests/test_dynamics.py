@@ -506,6 +506,27 @@ class TestNonFiniteState:
         traj = run(config(x_init=(1e308, 1e308), v_init=(0.5, 0.5)))
         assert traj.error is None and len(traj.samples) == 11
 
+    @pytest.mark.parametrize("lambda0", [0.0, 0.3])
+    def test_overflowing_momentum_ends_run_after_sample_zero(self, lambda0):
+        # a float ** raises OverflowError past |v| ~ 5.6e102, and v**3 is computed even when
+        # lambda1 = 0 (with lambda1 != 0 the energy of sample 0 is already inf)
+        cfg = config(k=1.0, lambda0=lambda0, x_init=(-0.5, 0.5), v_init=(1e103, 0.0))
+        with pytest.raises(NonFiniteStateError, match=r"^momentum of block 1 overflows at v=1e\+103$"):
+            momentum(cfg, 0, 1e103)
+        traj = run(cfg)
+        assert traj.error == "NonFiniteStateError: momentum of block 1 overflows at v=1e+103"
+        assert len(traj.samples) == 1 and _finite(traj.samples[0])
+        assert run(config(v_init=(0.0, -1e103), steps=0)).error is None  # no step, no momentum
+
+    def test_stiff_step_overflows_by_name(self):
+        # step starts from the state's velocity, so its 11th call meets a velocity whose cube overflows
+        cfg = config(**STIFF)
+        state = SimState(t=0.0, x=cfg.x_init, v=cfg.v_init)
+        for _ in range(10):
+            state = step(cfg, state)
+        with pytest.raises(NonFiniteStateError, match=r"^momentum of block 1 overflows at v=3\.3\d*e\+113$"):
+            step(cfg, state)
+
 
 class TestConfigIO:
     def test_from_obj(self):

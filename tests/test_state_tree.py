@@ -486,6 +486,18 @@ def test_label_errors_show_at_most_500_characters_of_the_value(make, message, ba
     assert str(info.value) == message.format(f"{text[:500]}... ({len(text)} characters)")
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpinWeight(-10**5000, 0), "twice_j must be >= 0, got an int of 16610 bits"),
+    (lambda: SpinWeight(1, 10**5000), "|m| > j for (2j, 2m) = (1, an int of 16610 bits)"),
+    (lambda: IrrepLabel(-10**5000), "twice_j must be >= 0, got an int of 16610 bits"),
+], ids=["twice_j_sign", "twice_m_range", "irrep_sign"])
+def test_label_errors_give_the_size_of_an_int_too_long_for_str(make, message):
+    # past sys.get_int_max_str_digits() digits, str() of the int would raise CPython's own ValueError
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_integral_floats_in_a_state_file_still_load():
     label = {"type": "spin", "twice_j": 1.0, "twice_m": -1.0}
     obj = {"level": 0, "group": TRANSLATION_1D, "amplitudes": [[1.0, 0.0], [0.0, 0.0]],
