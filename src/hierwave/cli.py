@@ -77,10 +77,7 @@ def cmd_decompose(args) -> int:
     result = rep_theory.decompose_product(spins)
     for label, mult in result:
         print(f"J={label} x{mult}")
-    product_dim = 1
-    for s in spins:
-        product_dim *= s.dim
-    print(f"dim: {result.total_dim} = {product_dim}")
+    print(f"dim: {result.total_dim} = {math.prod(s.dim for s in spins)}")
     return 0
 
 
@@ -171,10 +168,8 @@ def _parse_sweep(spec: str):
     if count > MAX_SWEEP_COUNT:
         raise ValueError(f"sweep count must be <= {MAX_SWEEP_COUNT}, got {count}")
     if count == 1:
-        values = [start]
-    else:
-        values = [start + (stop - start) * i / (count - 1) for i in range(count)]
-    return name, values
+        return name, [start]
+    return name, [start + (stop - start) * i / (count - 1) for i in range(count)]
 
 
 def cmd_simulate(args) -> int:
@@ -225,10 +220,17 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     from . import complexity
 
-    values = []
+    # the text-mode file's lines, with their numbers: str.splitlines() would
+    # also split at "\x0b", "\x1c" or "\u2028"
     with open(args.series, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+        lines = list(map(str.strip, fh.read().split("\n")))
+    try:
+        values = tuple(map(float, filter(None, lines)))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        # name the first bad line
+        for lineno, line in enumerate(lines, 1):
             if line:
                 try:
                     value = float(line)
@@ -237,17 +239,10 @@ def cmd_classify(args) -> int:
                         f"{args.series}:{lineno}: value {line!r} is not a number") from None
                 if not math.isfinite(value):
                     raise ValueError(f"{args.series}:{lineno}: value {line!r} is not finite")
-                values.append(value)
-    series = complexity.MatrixElementSeries(values=tuple(values), quantization=args.quantization)
+    series = complexity.MatrixElementSeries(values=values, quantization=args.quantization)
     threshold = complexity.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     report = complexity.classify(series, threshold=threshold)
-    print(json.dumps({
-        "raw_bits": report.raw_bits,
-        "compressed_bits": report.compressed_bits,
-        "ratio": report.ratio,
-        "verdict": report.verdict.value,
-        "threshold": report.threshold,
-    }))
+    print(json.dumps({**report._asdict(), "verdict": report.verdict.value}))
     if args.format == "human":
         print(f"{report.verdict.value}: {report.compressed_bits} / {report.raw_bits} bits "
               f"(ratio {report.ratio:.4f}, threshold {report.threshold})")

@@ -10,7 +10,7 @@ captured by a short generative rule ("RuleLike").
 
 Bit-stream layout (all integers Elias-gamma coded; the code of n is
 2*n.bit_length() - 1 bits long, so description_length sums the code
-lengths without building the stream):
+lengths without building the stream, each run's pair of lengths inline):
     gamma(K)                        number of distinct symbols
     K * gamma(zigzag(symbol) + 1)   dictionary, first-appearance order
     gamma(n)                        series length
@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum
+from itertools import repeat
+from operator import truediv
 from typing import NamedTuple, Sequence
 
 DEFAULT_THRESHOLD = 0.5
@@ -50,7 +52,7 @@ class MatrixElementSeries:
     __slots__ = ("values", "quantization")
 
     def __init__(self, values: tuple[float, ...], quantization: float) -> None:
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
         if not values:
             raise ValueError("series must be non-empty")
         if not 0 < quantization < math.inf:
@@ -94,7 +96,7 @@ def symbolize(series: MatrixElementSeries) -> list[int]:
     is not finite raises ValueError naming its 1-based position."""
     q = series.quantization
     try:
-        return [math.floor(v / q) for v in series.values]
+        return list(map(math.floor, map(truediv, series.values, repeat(q))))
     except (OverflowError, ValueError):
         i, v = next((i, v) for i, v in enumerate(series.values, 1) if not math.isfinite(v / q))
         raise ValueError(f"value {i} is {v!r}: {v!r} / {q!r} is not finite") from None
@@ -155,7 +157,8 @@ def description_length(symbols: Sequence[int]) -> int:
         if pos == run_val:
             run_len += 1
         else:
-            bits += _gamma_len(run_val + 1) + _gamma_len(run_len)
+            # gamma(run_val + 1) + gamma(run_len), summed inline
+            bits += 2 * ((run_val + 1).bit_length() + run_len.bit_length()) - 2
             run_val, run_len = pos, 1
     return bits + _gamma_len(run_val + 1) + _gamma_len(run_len)
 
@@ -179,10 +182,4 @@ def classify(series: MatrixElementSeries, threshold: float = DEFAULT_THRESHOLD) 
     raw = raw_bits(symbols)
     ratio = compressed / raw
     verdict = Verdict.SERIES_LIKE if ratio >= threshold else Verdict.RULE_LIKE
-    return ComplexityReport(
-        raw_bits=raw,
-        compressed_bits=compressed,
-        ratio=ratio,
-        verdict=verdict,
-        threshold=threshold,
-    )
+    return ComplexityReport(raw, compressed, ratio, verdict, threshold)

@@ -98,7 +98,7 @@ class SimConfig:
         if isinstance(steps, float) and steps.is_integer():
             steps = int(steps)
         if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ValueError(f"steps must be an integer, got {steps!r}")
+            raise ValueError(f"steps must be an integer, got {_shown(steps)}")
         if m0 <= 0:
             raise ValueError("m0 must be positive")
         if dt <= 0:
@@ -340,6 +340,23 @@ def max_energy_drift(traj: Trajectory) -> float:
 
 # --- JSON config files --------------------------------------------------------
 
+# The most characters of a rejected value's repr that an error message shows,
+# as in state_tree, which simulate does not load.
+_SHOWN = 500
+
+
+def _shown(value) -> str:
+    """repr(value), or its first _SHOWN characters and its length when longer;
+    an int too long for repr() shows its size, and any other value whose
+    repr() fails (a list holding such an int) its type."""
+    try:
+        text = repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a value of type {type(value).__name__} that repr() cannot show"
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
 
 def _is_number(value) -> bool:
     """True for a JSON number: an int or float, but not a bool."""
@@ -348,13 +365,13 @@ def _is_number(value) -> bool:
 
 def _number(value, key: str) -> float:
     if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a number, got {_shown(value)}")
     return float(value)
 
 
 def _numbers(value, key: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        raise ValueError(f"{key} must be a list of numbers, got {_shown(value)}")
     return tuple(map(float, value))
 
 
@@ -365,12 +382,12 @@ def _potential(obj: dict, key: str, kind: str, field: str) -> float:
     if pot is None:
         return 0.0
     if not isinstance(pot, dict):
-        raise ValueError(f"{key} must be an object or null, got {pot!r}")
+        raise ValueError(f"{key} must be an object or null, got {_shown(pot)}")
     got = pot.get("type", "none")
     if got == "none":
         return 0.0
     if got != kind:
-        raise ValueError(f"unknown {key} type {got!r}")
+        raise ValueError(f"unknown {key} type {_shown(got)}")
     return _number(pot[field], f"{key} {field}")
 
 

@@ -239,13 +239,6 @@ def ionize_recombine(
 #                                 "subcomponents": [...]}, ...]}
 
 
-def _component_to_obj(comp: ComponentSpec) -> dict:
-    obj: dict = {"name": comp.name, "irrep": format_j(comp.irrep.twice_j)}
-    if comp.subcomponents:
-        obj["subcomponents"] = [_component_to_obj(c) for c in comp.subcomponents]
-    return obj
-
-
 def _component_from_obj(obj: dict) -> ComponentSpec:
     return ComponentSpec(
         name=str(obj["name"]),
@@ -255,10 +248,19 @@ def _component_from_obj(obj: dict) -> ComponentSpec:
 
 
 def organism_to_obj(org: Organism) -> dict:
-    return {
-        "target": format_j(org.target_irrep.twice_j),
-        "components": [_component_to_obj(c) for c in org.components],
-    }
+    """The scenario object of org, built from an explicit stack, so depth is
+    bounded by memory and not by the recursion limit; a component has a
+    "subcomponents" key only when it has subcomponents."""
+    components: list[dict] = []
+    stack = [(comp, components) for comp in reversed(org.components)]
+    while stack:
+        comp, siblings = stack.pop()
+        obj: dict = {"name": comp.name, "irrep": format_j(comp.irrep.twice_j)}
+        siblings.append(obj)
+        if comp.subcomponents:
+            obj["subcomponents"] = subs = []
+            stack.extend((sub, subs) for sub in reversed(comp.subcomponents))
+    return {"target": format_j(org.target_irrep.twice_j), "components": components}
 
 
 def organism_from_obj(obj: dict) -> Organism:

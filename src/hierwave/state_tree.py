@@ -37,13 +37,14 @@ _SHOWN = 500
 
 def _shown(value) -> str:
     """repr(value), or its first _SHOWN characters and its length when longer;
-    an int too long for repr() shows its size."""
+    an int too long for repr() shows its size, and any other value whose
+    repr() fails (a list holding such an int) its type."""
     try:
         text = repr(value)
     except ValueError:  # past sys.get_int_max_str_digits() digits
-        if not isinstance(value, int):
-            raise
-        return f"an int of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a value of type {type(value).__name__} that repr() cannot show"
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hierwave.dynamics import (
     potential_energy,
 )
 from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
-from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product
+from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product, format_j
 from hierwave.repair_cascade import ComponentSpec
 from hierwave.state_tree import (
     _TOO_DEEP,
@@ -75,6 +76,17 @@ def reference_validate(comp: ComponentSpec, path: str = "") -> list[str]:
         for sub in comp.subcomponents:
             problems.extend(reference_validate(sub, here))
     return problems
+
+
+def reference_organism_to_obj(org) -> dict:
+    """organism_to_obj in its recursive form: one call per level."""
+    def component(comp: ComponentSpec) -> dict:
+        obj: dict = {"name": comp.name, "irrep": format_j(comp.irrep.twice_j)}
+        if comp.subcomponents:
+            obj["subcomponents"] = [component(c) for c in comp.subcomponents]
+        return obj
+
+    return {"target": format_j(org.target_irrep.twice_j), "components": [component(c) for c in org.components]}
 
 
 def weight_multiplicities(twice_js: list[int]) -> Counter:
@@ -665,6 +677,57 @@ def scan_description_length(symbols: Sequence[int]) -> int:
         pos = mtf.index(i)
         del mtf[pos]
         mtf.insert(0, i)
+        if pos == run_val:
+            run_len += 1
+        else:
+            bits += _gamma_len(run_val + 1) + _gamma_len(run_len)
+            run_val, run_len = pos, 1
+    return bits + _gamma_len(run_val + 1) + _gamma_len(run_len)
+
+
+def reference_series_values(values, quantization: float) -> tuple[float, ...]:
+    """The values MatrixElementSeries stored before it converted with map():
+    each one through float() in a generator, then the same two checks."""
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ValueError("series must be non-empty")
+    if not 0 < quantization < math.inf:
+        raise ValueError(f"quantization must be positive and finite, got {quantization!r}")
+    return values
+
+
+def reference_symbolize(values: Sequence[float], q: float) -> list[int]:
+    """symbolize as a list comprehension, before it mapped floor and truediv."""
+    try:
+        return [math.floor(v / q) for v in values]
+    except (OverflowError, ValueError):
+        i, v = next((i, v) for i, v in enumerate(values, 1) if not math.isfinite(v / q))
+        raise ValueError(f"value {i} is {v!r}: {v!r} / {q!r} is not finite") from None
+
+
+def reference_description_length(symbols: Sequence[int]) -> int:
+    """The recency-rank coder with two _gamma_len calls per run, before each
+    run's code lengths were summed inline."""
+    if not symbols:
+        raise ValueError("cannot encode an empty symbol sequence")
+    order = _first_appearance(symbols)
+    k = len(order)
+    bits = _header_bits(order) + _gamma_len(len(symbols))
+    last = {s: -1 - i for i, s in enumerate(order)}
+    times = list(range(-k, 0))
+    top = k - 1
+    prev = order[0]
+    run_val, run_len = 0, 0
+    for t, s in enumerate(symbols):
+        if s == prev:
+            pos = 0
+        else:
+            i = bisect_left(times, last[s])
+            del times[i]
+            times.append(t)
+            last[s] = t
+            prev = s
+            pos = top - i
         if pos == run_val:
             run_len += 1
         else:

@@ -240,6 +240,17 @@ def cli_classify_uniform():
     _cli('classify', '--series', 'u.csv', '--quantization', '0.01')
 
 
+def classify_names_bad_line():
+    # a CRLF series with a bad value on line 5,001: classify exits 1 and names the
+    # line, as it does for a file read line by line
+    rows = [f'{0.01 * k!r}' for k in range(5000)] + ['1,5'] + ['0.5'] * 10
+    Path('bad.csv').write_bytes('\r\n'.join(rows).encode() + b'\r\n')
+    proc = _child('-m', 'hierwave.cli', 'classify', '--series', 'bad.csv', '--quantization', '0.01')
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-1000:])
+    assert proc.stderr == "error: ValueError: bad.csv:5001: value '1,5' is not a number\n", proc.stderr[-1000:]
+    assert 'Traceback' not in proc.stderr
+
+
 def clebsch_gordan_tables():
     # no CLI command reaches clebsch_gordan: build its full (7,7) and (6,4) tables directly,
     # then check the singlet and stretched closed forms at 2j = 1000 bit for bit
@@ -292,6 +303,7 @@ CHECKS = [
     cli_classify_cosine,
     write_uniform_series,
     cli_classify_uniform,
+    classify_names_bad_line,
     clebsch_gordan_tables,
     decompose_product_catalan,
 ]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hierwave import cli, dynamics, rep_theory
+from hierwave import cli, complexity, dynamics, rep_theory
 from hierwave.cli import MAX_ERROR_CHARS, MAX_SWEEP_COUNT, main
 
 from helpers import chain_state_json
@@ -580,6 +580,67 @@ def test_non_numeric_classify_value_names_its_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _reference_series_read(path) -> tuple:
+    """The classify reader before it split the whole text: one line at a time
+    from the text-mode file, raising on the first bad one."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: value {line!r} is not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: value {line!r} is not finite")
+                values.append(value)
+    return tuple(values)
+
+
+_GOOD = "".join(f"{0.001 * (i % 97) - 0.03!r}\n" for i in range(10_000))
+
+
+@pytest.mark.parametrize("text", [
+    "0.5\r\n1.5\r\n\r\n-2.5\r\n",  # CRLF
+    "0.5\r1.5\r\r-2.5",  # lone CR, no final newline
+    "\n\n  0.5  \n\t\n1.5\n\n\n",  # blank and whitespace-only lines
+    " \x0b0.25\x1c \n\u20281.0\u2029\n",  # whitespace that strip() removes at either end
+    _GOOD,
+    _GOOD.replace("\n", "\r\n"),
+])
+def test_classify_reads_the_lines_of_the_text_file(text, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    values = _reference_series_read(path)
+    assert main(["classify", "--series", str(path), "--quantization", "0.01"]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[0])
+    expect = complexity.classify(complexity.MatrixElementSeries(values, 0.01))
+    assert out["compressed_bits"] == expect.compressed_bits and out["raw_bits"] == expect.raw_bits
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("0.5\r\n\r\nabc\r\n1.0\r\n", 3),
+    (_GOOD + "abc\n" + _GOOD, 10_001),
+    (_GOOD + "  inf  \n" + _GOOD, 10_001),
+    (_GOOD + "-nan\n", 10_001),
+    (_GOOD.replace("\n", "\r\n") + "1e999\r\n", 10_001),
+    ("0.5\n1 2\n", 2),  # two values on one line
+    ("0.5\n1.0\x1c2.0\n", 2),  # \x1c ends a line for str.splitlines, not for the file
+    ("0.5\n1.0\u20282.0\n", 2),
+    ("0.5\n1.0\x0b2.0\nnan\n", 2),  # the first bad line wins
+])
+def test_classify_names_the_first_bad_line(text, lineno, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as ref:
+        _reference_series_read(path)
+    assert f"{path}:{lineno}: " in str(ref.value)
+    assert main(["classify", "--series", str(path), "--quantization", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {ref.value}\n" and captured.out == ""
+
+
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
 
@@ -750,14 +811,17 @@ def test_too_deep_config_value_is_named_domain_error(tmp_path, capsys, monkeypat
 
 
 
+def test_nested_m0_error_is_bounded_by_the_loader(tmp_path, capsys):
+    # the config loader shows at most 500 characters of the value, so the
+    # message stays below MAX_ERROR_CHARS and is printed whole
+    m0 = json.loads("[" * 900 + "]" * 900)
+    assert main(["simulate", "--config", _harmonic_config(tmp_path, m0=m0)]) == 1
+    shown = f"{repr(m0)[:500]}... (1800 characters)"
+    assert capsys.readouterr().err == f"error: ValueError: m0 must be a number, got {shown}\n"
+
+
 # each builds a command whose domain error message is longer than MAX_ERROR_CHARS,
 # and returns it with that message
-def _nested_m0(tmp_path):
-    m0 = json.loads("[" * 900 + "]" * 900)
-    argv = ["simulate", "--config", _harmonic_config(tmp_path, m0=m0)]
-    return argv, f"m0 must be a number, got {m0!r}"
-
-
 def _long_sweep_count(tmp_path):
     count = "9" * 4000
     argv = ["simulate", "--config", _harmonic_config(tmp_path), "--out", str(tmp_path / "sweep"),
@@ -772,7 +836,7 @@ def _long_classify_line(tmp_path):
     return argv, f"{path}:1: value {line!r} is not a number"
 
 
-@pytest.mark.parametrize("case", [_nested_m0, _long_sweep_count, _long_classify_line])
+@pytest.mark.parametrize("case", [_long_sweep_count, _long_classify_line])
 def test_long_error_message_is_cut(case, tmp_path, capsys):
     argv, full = case(tmp_path)
     assert main(argv) == 1

@@ -13,7 +13,16 @@ from hierwave.complexity import (
     symbolize,
 )
 
-from helpers import _read_gamma, decode_symbols, dictionary_header_bits, encode_symbols, scan_description_length
+from helpers import (
+    _read_gamma,
+    decode_symbols,
+    dictionary_header_bits,
+    encode_symbols,
+    reference_description_length,
+    reference_series_values,
+    reference_symbolize,
+    scan_description_length,
+)
 
 
 def series(values, q):
@@ -219,3 +228,123 @@ class TestClassify:
         report = classify(series([1.0, 1.0, 2.0, 2.0], 0.5))
         assert report.ratio == report.compressed_bits / report.raw_bits
         assert isinstance(report, ComplexityReport)
+
+
+def _coder_case(rng: random.Random, trial: int) -> list[int]:
+    """A seeded symbol sequence; the shape cycles with the trial number."""
+    shape = trial % 6
+    n = rng.randrange(1, 300)
+    if shape == 0:  # one long constant run, or a few
+        return [rng.randrange(-5, 5)] * n + [rng.randrange(-5, 5)] * rng.randrange(0, 3 * n)
+    if shape == 1:  # alternation of two or three symbols, sometimes with stutters
+        cycle = rng.sample(range(-9, 9), rng.choice([2, 3]))
+        return [cycle[i % len(cycle)] for i in range(n) for _ in range(rng.choice([1, 1, 1, 2]))]
+    if shape == 2:  # runs of random symbols from an alphabet of up to 60
+        alphabet = [rng.randrange(-100, 100) for _ in range(rng.randrange(1, 60))]
+        seq = []
+        while len(seq) < n:
+            seq += [rng.choice(alphabet)] * rng.randrange(1, 40)
+        return seq
+    if shape == 3:  # symbols beyond +-2**63
+        alphabet = [rng.choice([-1, 1]) * (2**63 + rng.randrange(2**70)) for _ in range(rng.randrange(1, 20))]
+        return [rng.choice(alphabet) for _ in range(n)]
+    if shape == 4:  # a quantized random walk
+        x, seq = 0.0, []
+        for _ in range(n):
+            x += rng.gauss(0.0, 1.0)
+            seq.append(math.floor(x / 0.5))
+        return seq
+    # uniform over an alphabet of 1 to n symbols
+    k = rng.randrange(1, n + 1)
+    return [rng.randrange(k) for _ in range(n)]
+
+
+class TestInlineCodeLengths:
+    """description_length, which sums each run's two gamma lengths inline,
+    against the coder it replaced, the list-scan counter and the bit coder."""
+
+    def test_seeded_sequences_match_every_reference(self):
+        rng = random.Random(20)
+        for trial in range(2400):
+            seq = _coder_case(rng, trial)
+            assert description_length(seq) == reference_description_length(seq), (trial, seq)
+            assert_matches_references(seq)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 255, 256, 1000, 2000])
+    def test_alphabet_sizes(self, k):
+        rng = random.Random(k)
+        for seq in (list(range(k)), list(range(k)) * 2, [rng.randrange(k) for _ in range(2 * k)],
+                    [s for s in range(k) for _ in range(3)]):
+            assert description_length(seq) == reference_description_length(seq)
+            assert_matches_references(seq)
+
+    def test_long_runs_and_alternation(self):
+        for seq in ([4] * 100_000, [0, 1] * 30_000, ([5] * 70_000) + [6] + [5] * 1000,
+                    [0] * 65_535 + [1] * 65_536 + [0]):
+            assert description_length(seq) == reference_description_length(seq)
+            assert description_length(seq) == scan_description_length(seq)
+
+    def test_symbols_beyond_64_bits(self):
+        big = [2**63, -(2**63) - 1, 2**200, -(2**200), 0, 2**64 - 1]
+        for seq in (big, big * 3, [b for b in big for _ in range(5)], big[::-1] + big):
+            assert description_length(seq) == reference_description_length(seq)
+            assert_matches_references(seq)
+
+
+class TestSymbolizeMapping:
+    """symbolize maps floor over truediv in C; the list and every message
+    equal those of the comprehension it replaced."""
+
+    def test_values_match_reference(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            q = rng.choice([1e-300, 1e-9, 0.01, 0.5, 3.0, 1e300])
+            values = [rng.choice([rng.gauss(0.0, 1.0), rng.uniform(-1e6, 1e6), -0.0, 0.0])
+                      for _ in range(rng.randrange(1, 50))]
+            assert symbolize(series(values, q)) == reference_symbolize(values, q)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize("at", [0, 500, 1000], ids=["first", "middle", "last"])
+    def test_first_non_finite_quotient_is_named(self, bad, at):
+        q = 1e-10 if bad == 1e308 else 0.25  # 1e308 / 1e-10 overflows to inf
+        values = [0.125 * (i % 9) - 0.5 for i in range(1001)]
+        values[at] = bad
+        if at < 1000:
+            values[-1] = math.inf  # a later bad value is not the one named
+        with pytest.raises(ValueError) as ref:
+            reference_symbolize(values, q)
+        with pytest.raises(ValueError) as got:
+            symbolize(series(values, q))
+        assert str(got.value) == str(ref.value) == f"value {at + 1} is {bad!r}: {bad!r} / {q!r} is not finite"
+
+
+class TestSeriesConversion:
+    """MatrixElementSeries converts with map(float, ...): the same values,
+    or the same error text, as the generator it replaced."""
+
+    @pytest.mark.parametrize("values", [
+        (1, 2, 3),
+        (True, False, 2),
+        ("1.5", " -2 ", "1e3", "inf"),
+        [0.1, 7, "3"],
+        (2**1023,),
+    ])
+    def test_same_values(self, values):
+        got = MatrixElementSeries(values=values, quantization=0.5).values
+        ref = reference_series_values(values, 0.5)
+        assert got == ref and all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("values", [
+        ("1.5", "abc"),
+        (1.0, None),
+        (10**400,),
+        (1.0, [2.0]),
+        (),
+    ])
+    def test_same_errors(self, values):
+        with pytest.raises(Exception) as ref:
+            reference_series_values(values, 0.5)
+        with pytest.raises(Exception) as got:
+            MatrixElementSeries(values=values, quantization=0.5)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)

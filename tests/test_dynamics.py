@@ -1,6 +1,9 @@
 import io
+import json
 import math
 import random
+import re
+from importlib import resources
 
 import pytest
 
@@ -547,3 +550,52 @@ class TestConfigIO:
         assert cfg.k == 3.0
         assert cfg.kappa == 0.2
         assert cfg.lambda1 == 0.0
+
+
+def _harmonic_obj(**changes) -> dict:
+    obj = json.loads(resources.files("hierwave").joinpath("data/harmonic_benchmark.json").read_text())
+    return {**obj, **changes}
+
+
+def _floats(n: int) -> list[float]:
+    return [0.5 + i for i in range(n)]
+
+
+class TestBoundedConfigErrors:
+    """The config loaders show at most 500 characters of a rejected value,
+    then its length, as the state loader does."""
+
+    @pytest.mark.parametrize("changes, prefix, value", [
+        ({"m0": _floats(100_000)}, "m0 must be a number, got ", _floats(100_000)),
+        ({"spins": ["up"] * 100_000}, "spins must be a list of numbers, got ", ["up"] * 100_000),
+        ({"potential_U": {"type": "harmonic", "k": _floats(100_000)}}, "potential_U k must be a number, got ",
+         _floats(100_000)),
+        ({"potential_U": {"type": "x" * 10_000}}, "unknown potential_U type ", "x" * 10_000),
+        ({"potential_Lambda": _floats(1000)}, "potential_Lambda must be an object or null, got ",
+         _floats(1000)),
+        ({"steps": _floats(100_000)}, "steps must be an integer, got ", _floats(100_000)),
+    ])
+    def test_long_value_is_cut(self, changes, prefix, value):
+        text = repr(value)
+        with pytest.raises(ValueError) as exc:
+            sim_config_from_obj(_harmonic_obj(**changes))
+        assert str(exc.value) == f"{prefix}{text[:500]}... ({len(text)} characters)"
+        assert len(str(exc.value)) < 600
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"m0": [0.5] * 100}, f"m0 must be a number, got {[0.5] * 100!r}"),  # 500 characters: shown whole
+        ({"spins": ["up"]}, "spins must be a list of numbers, got ['up']"),
+        ({"potential_U": {"type": "linear"}}, "unknown potential_U type 'linear'"),
+    ])
+    def test_short_value_is_shown_whole(self, changes, message):
+        assert len(repr([0.5] * 100)) == 500
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            sim_config_from_obj(_harmonic_obj(**changes))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"m0": [0.5, 10**5000]}, "m0 must be a number, got a value of type list that repr() cannot show"),
+        ({"potential_U": {"type": 10**5000}}, f"unknown potential_U type an int of {(10**5000).bit_length()} bits"),
+    ])
+    def test_value_without_repr_is_named(self, changes, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            sim_config_from_obj(_harmonic_obj(**changes))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from hierwave.repair_cascade import (
     repair,
 )
 
-from helpers import reference_validate
+from helpers import reference_organism_to_obj, reference_validate
 
 HALF = IrrepLabel(1)
 ONE = IrrepLabel(2)
@@ -236,3 +237,32 @@ class TestScenarioFiles:
             components=(cell("a", ONE, [cell("a1", HALF), cell("a2", HALF)]), cell("b", ONE)),
         )
         assert organism_from_obj(organism_to_obj(org)) == org
+
+    def test_to_obj_matches_recursive_reference(self):
+        # the same dicts with the same key order, and "subcomponents" only where there are some
+        def spec(rng, name, depth):
+            n = rng.randint(0, 3) if depth < 5 else 0
+            return cell(name, IrrepLabel(rng.randint(0, 5)), [spec(rng, f"{name}{i}", depth + 1) for i in range(n)])
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            org = Organism(IrrepLabel(rng.randint(0, 3)),
+                           tuple(spec(rng, f"c{i}", 0) for i in range(rng.randint(0, 4))))
+            obj = organism_to_obj(org)
+            assert json.dumps(obj) == json.dumps(reference_organism_to_obj(org)), seed
+            assert organism_from_obj(obj) == org
+
+    def test_deep_chain_to_obj(self):
+        # a depth-3,000 chain: the explicit stack does not meet the recursion limit
+        comp = cell("leaf", HALF)
+        for i in range(2999):
+            comp = cell(f"c{i}", ONE, [comp])
+        obj = organism_to_obj(Organism(target_irrep=ONE, components=(comp, cell("e", HALF))))
+        assert obj["target"] == "1" and obj["components"][1] == {"name": "e", "irrep": "1/2"}
+        node, names = obj["components"][0], []
+        while "subcomponents" in node:
+            names.append(node["name"])
+            assert list(node) == ["name", "irrep", "subcomponents"] and len(node["subcomponents"]) == 1
+            node = node["subcomponents"][0]
+        assert names == [f"c{i}" for i in reversed(range(2999))]
+        assert node == {"name": "leaf", "irrep": "1/2"}

@@ -498,6 +498,21 @@ def test_label_errors_give_the_size_of_an_int_too_long_for_str(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: NodeWave(HierarchyLevel(0, SU2, (Named("a"), Named("b"))), (1, 0),
+                      quantum_numbers=[0.5, 10**5000]),
+     "quantum_numbers must be a list of integers, got a value of type list that repr() cannot show"),
+    (lambda: state_from_obj({"level": 0, "group": SU2, "amplitudes": [[10**5000, 0]],
+                             "basis": [{"type": "named", "text": "a"}]}),
+     "amplitudes must be [re, im] pairs of finite numbers, got a value of type list that repr() cannot show"),
+], ids=["quantum_numbers", "amplitude"])
+def test_errors_name_a_container_whose_repr_fails(make, message):
+    # repr() of a list holding an int past sys.get_int_max_str_digits() digits raises CPython's ValueError
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_integral_floats_in_a_state_file_still_load():
     label = {"type": "spin", "twice_j": 1.0, "twice_m": -1.0}
     obj = {"level": 0, "group": TRANSLATION_1D, "amplitudes": [[1.0, 0.0], [0.0, 0.0]],
