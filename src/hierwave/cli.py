@@ -4,7 +4,7 @@ Subcommands: decompose, validate, pauli, repair, simulate, classify, info.
 Each subcommand imports only the modules it runs, so that, for example,
 decompose loads rep_theory alone.
 Exit codes: 0 success, 1 domain error (error name printed to stderr),
-2 usage error.
+2 usage error; 1, with nothing printed, when stdout is closed early.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 # the most values one --sweep may take: each is a full run and a CSV file
@@ -276,6 +277,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:  # a closed stdout, not a domain error: run() ends quietly
+        raise
     except _DOMAIN_ERRORS as exc:
         message = str(exc)
         if len(message) > MAX_ERROR_CHARS:
@@ -285,7 +288,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Exit with main()'s code.  A closed stdout, as under `| head -1`, exits 1
+    with nothing on stderr, by the recipe in the signal module's docs."""
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull to keep that quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -32,10 +32,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from itertools import repeat
 from operator import truediv
-from typing import NamedTuple, Sequence
+
+from ._value import _Value
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -45,9 +48,8 @@ class Verdict(Enum):
     SERIES_LIKE = "SeriesLike"
 
 
-class MatrixElementSeries:
-    """A non-empty series of values and the step that quantizes them.  Fields
-    cannot be assigned or deleted."""
+class MatrixElementSeries(_Value):
+    """A non-empty series of values and the step that quantizes them."""
 
     __slots__ = ("values", "quantization")
 
@@ -70,25 +72,8 @@ class MatrixElementSeries:
     def __hash__(self) -> int:
         return hash((self.values, self.quantization))
 
-    def __repr__(self) -> str:
-        return f"MatrixElementSeries(values={self.values!r}, quantization={self.quantization!r})"
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return MatrixElementSeries, (self.values, self.quantization)
-
-
-class ComplexityReport(NamedTuple):
-    raw_bits: int
-    compressed_bits: int
-    ratio: float
-    verdict: Verdict
-    threshold: float
+ComplexityReport = namedtuple("ComplexityReport", ("raw_bits", "compressed_bits", "ratio", "verdict", "threshold"))
 
 
 def symbolize(series: MatrixElementSeries) -> list[int]:

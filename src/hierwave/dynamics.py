@@ -31,7 +31,8 @@ without dispatch; only the one for a |b| so small that r overflows checks
 the mass, which is positive on every other branch.  A sample whose x1, x2
 or energy is not finite, as when RK4 runs far outside its stability
 interval, or a velocity whose momentum overflows ends a run with
-NonFiniteStateError.  The energy column reports the conserved Jacobi energy
+NonFiniteStateError; step() raises it for a new x or v that is not
+finite.  The energy column reports the conserved Jacobi energy
 h = sum_i (p_i v_i - L_i) + U + Lambda
   = sum_i [m0 v_i^2/2 + s1*s2 (lambda0 v_i^2/2 + 3/2 lambda1 v_i^4)] + U + Lambda,
 which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
@@ -40,8 +41,10 @@ which equals sum m_i(v_i) v_i^2 / 2 + U + Lambda when lambda1 = 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain, islice
-from typing import NamedTuple
+
+from ._value import _shown, _Value
 
 
 class NonpositiveMassError(ValueError):
@@ -53,18 +56,19 @@ class LegendreSingularityError(ValueError):
 
 
 class NonFiniteStateError(ValueError):
-    """A position or the energy overflowed to inf or NaN."""
+    """A position, a velocity or the energy overflowed to inf or NaN."""
 
 
-# The most steps a run may take: run() keeps every sample, about 312 bytes
-# each, so 2e6 steps hold about 0.6 GB.
+# The most steps a run may take: run() keeps every sample, and each holds about
+# 378 bytes of resident memory (the rise in ru_maxrss over run() at 200,000 and
+# at 1,000,000 steps, Python 3.11, x86-64), so 2e6 steps hold about 0.76 GB.
+# tracemalloc counts 312 bytes: pymalloc rounds each 24-byte float up to 32.
 MAX_STEPS = 2_000_000
 
 
-class SimConfig:
+class SimConfig(_Value):
     """A run's parameters, checked and normalised by the constructor; build a
-    changed config through it too, so that the change is checked.  Fields
-    cannot be assigned or deleted."""
+    changed config through it too, so that the change is checked."""
 
     __slots__ = ("m0", "spins", "lambda0", "lambda1", "k", "kappa", "x_init", "v_init", "dt", "steps")
 
@@ -115,56 +119,22 @@ class SimConfig:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _key(self) -> tuple:
-        return (self.m0, self.spins, self.lambda0, self.lambda1, self.k, self.kappa,
-                self.x_init, self.v_init, self.dt, self.steps)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.__reduce__() == other.__reduce__()  # (class, field tuple)
 
     def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        return f"SimConfig({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SimConfig, self._key()
+        return hash(self.__reduce__()[1])
 
     def spin_product(self, block: int) -> float:
         s = self.spins
         return s[0] * s[1] if block == 0 else s[2] * s[3]
 
 
-class SimState(NamedTuple):
-    t: float
-    x: tuple[float, float]
-    v: tuple[float, float]
-
-
-class TrajectorySample(NamedTuple):
-    t: float
-    x1: float
-    x2: float
-    v1: float
-    v2: float
-    m1_eff: float
-    m2_eff: float
-    e_total: float
-
-
-class Trajectory(NamedTuple):
-    samples: list[TrajectorySample]
-    error: str | None = None
+SimState = namedtuple("SimState", ("t", "x", "v"))
+TrajectorySample = namedtuple("TrajectorySample", ("t", "x1", "x2", "v1", "v2", "m1_eff", "m2_eff", "e_total"))
+Trajectory = namedtuple("Trajectory", ("samples", "error"), defaults=(None,))
 
 
 def effective_mass(cfg: SimConfig, block: int, v: float) -> float:
@@ -292,9 +262,13 @@ def _integrate(cfg: SimConfig, br1: tuple, br2: tuple, x: tuple, v: tuple):
 
 
 def step(cfg: SimConfig, state: SimState) -> SimState:
-    """Advance one dt by classical 4-stage Runge-Kutta on (x, p)."""
+    """Advance one dt by classical 4-stage Runge-Kutta on (x, p).  A new x or v
+    that is not finite raises NonFiniteStateError, as it ends a run."""
+    t = state.t + cfg.dt
     x1, x2, v1, v2 = next(_integrate(cfg, *_branches(cfg, state.v), state.x, state.v))
-    return SimState(t=state.t + cfg.dt, x=(x1, x2), v=(v1, v2))
+    if not all(map(math.isfinite, (x1, x2, v1, v2))):
+        raise NonFiniteStateError(f"x1={x1!r}, x2={x2!r}, v1={v1!r}, v2={v2!r} at t={t!r}: not all finite")
+    return SimState(t=t, x=(x1, x2), v=(v1, v2))
 
 
 def run(cfg: SimConfig) -> Trajectory:
@@ -339,24 +313,6 @@ def max_energy_drift(traj: Trajectory) -> float:
 
 
 # --- JSON config files --------------------------------------------------------
-
-# The most characters of a rejected value's repr that an error message shows,
-# as in state_tree, which simulate does not load.
-_SHOWN = 500
-
-
-def _shown(value) -> str:
-    """repr(value), or its first _SHOWN characters and its length when longer;
-    an int too long for repr() shows its size, and any other value whose
-    repr() fails (a list holding such an int) its type."""
-    try:
-        text = repr(value)
-    except ValueError:  # past sys.get_int_max_str_digits() digits
-        if isinstance(value, int):
-            return f"an int of {value.bit_length()} bits"
-        return f"a value of type {type(value).__name__} that repr() cannot show"
-    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
-
 
 def _is_number(value) -> bool:
     """True for a JSON number: an int or float, but not a bool."""

@@ -11,9 +11,9 @@ are never compared.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations
-from typing import NamedTuple
 
 from .rep_theory import IrrepLabel, decompose_product
 from .state_tree import (
@@ -33,9 +33,8 @@ class Reason(Enum):
     UNSUPPORTED_GROUP = "UnsupportedGroup"
 
 
-class PhysicalityReport(NamedTuple):
-    reasons: tuple[Reason, ...]
-    parent_multiplicity: int
+class PhysicalityReport(namedtuple("PhysicalityReport", ("reasons", "parent_multiplicity"))):
+    __slots__ = ()
 
     @property
     def physical(self) -> bool:
@@ -89,11 +88,7 @@ def check_node(psi: HierState) -> list[tuple[str, PhysicalityReport]]:
     return out
 
 
-class PauliViolation(NamedTuple):
-    system_path: str
-    first: str
-    second: str
-    state: str
+PauliViolation = namedtuple("PauliViolation", ("system_path", "first", "second", "state"))
 
 
 def _state_key(wave: NodeWave):

@@ -15,6 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod, sqrt
 
+from ._value import _Value
+
 
 class EmptyProductError(ValueError):
     """decompose_product called with no factors."""
@@ -91,31 +93,6 @@ def parse_j(text: str) -> int:
         raise ValueError(message)
     check_spin_range(twice.numerator)
     return twice.numerator
-
-
-class _Value:
-    """Base of hierwave's immutable value types.  A subclass names its fields in
-    __slots__, in constructor order, sets them once in __init__ through
-    object.__setattr__, and writes out its own __eq__, true only within the
-    class, and __hash__, of the field tuple (a tree's, of its pre-order
-    sequence).  The repr is the class name and each field=value in order; a
-    field can be neither assigned nor deleted; copy and pickle rebuild a value
-    through the validating constructor."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class IrrepLabel(_Value):

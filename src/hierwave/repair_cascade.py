@@ -14,10 +14,12 @@ one with the same irrep.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import zip_longest
-from typing import Iterator, NamedTuple
 
-from .rep_theory import IrrepLabel, IrrepSum, _Value, decompose_product, format_j, parse_j
+from ._value import _Value
+from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
 
 class EmptyRemainderError(ValueError):
@@ -135,29 +137,15 @@ class RemovalAction(_Value):
         return hash((self.removed_indices,))
 
 
-class Remainder(NamedTuple):
+class Remainder(namedtuple("Remainder", ("target_irrep", "components", "complete"))):
     """What is left after an amputation; ``complete`` records whether the
     remaining product still contains the target irrep."""
 
-    target_irrep: IrrepLabel
-    components: tuple[ComponentSpec, ...]
-    complete: bool
+    __slots__ = ()
 
 
-class CascadeStep(NamedTuple):
-    depth: int
-    component_names: tuple[str, ...]
-    product: IrrepSum
-    target_multiplicity: int
-    rebuilt: bool
-
-
-class CascadeResult(NamedTuple):
-    feasible: bool
-    levels_descended: int
-    steps: tuple[CascadeStep, ...]
-    cost: int
-    witness_irreps: tuple[IrrepLabel, ...]
+CascadeStep = namedtuple("CascadeStep", ("depth", "component_names", "product", "target_multiplicity", "rebuilt"))
+CascadeResult = namedtuple("CascadeResult", ("feasible", "levels_descended", "steps", "cost", "witness_irreps"))
 
 
 def _remainder(target: IrrepLabel, components: tuple[ComponentSpec, ...]) -> Remainder:

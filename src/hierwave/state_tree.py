@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import cmath
 import json
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import zip_longest
-from typing import Iterable, Iterator, NamedTuple, Union
 
-from .rep_theory import _Value, check_spin_range
+from ._value import _shown, _Value
+from .rep_theory import check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
 SU2 = "SU2"
@@ -29,24 +31,6 @@ STATISTICS = (BOSON, FERMION, UNSPECIFIED)
 
 AMPLITUDE_TOL = 1e-12
 _TOO_DEEP = "state exceeds the JSON nesting limit of about 490 tree levels (2 JSON levels each)"
-
-# The most characters of a rejected value's repr that an error message shows:
-# a message stays well below cli.MAX_ERROR_CHARS, whatever the value's size.
-_SHOWN = 500
-
-
-def _shown(value) -> str:
-    """repr(value), or its first _SHOWN characters and its length when longer;
-    an int too long for repr() shows its size, and any other value whose
-    repr() fails (a list holding such an int) its type."""
-    try:
-        text = repr(value)
-    except ValueError:  # past sys.get_int_max_str_digits() digits
-        if isinstance(value, int):
-            return f"an int of {value.bit_length()} bits"
-        return f"a value of type {type(value).__name__} that repr() cannot show"
-    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
-
 
 class ShapeMismatchError(ValueError):
     """Addition of trees that are not congruent."""
@@ -123,7 +107,7 @@ class Named(_Value):
         return hash((self.text,))
 
 
-BasisLabel = Union[SpinWeight, Point, Named]
+BasisLabel = SpinWeight | Point | Named
 
 
 class HierarchyLevel(_Value):
@@ -202,9 +186,7 @@ class HierState(_Value):
         return hash(tuple(_preorder(self)))
 
 
-class Violation(NamedTuple):
-    path: str
-    message: str
+Violation = namedtuple("Violation", ("path", "message"))
 
 
 def iter_nodes(psi: HierState) -> Iterator[tuple[str, HierState]]:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
 
+from hierwave._value import _Value
 from hierwave.complexity import _first_appearance, _gamma_len, _header_bits, _zigzag
 from hierwave.dynamics import (
     LegendreSingularityError,
@@ -377,6 +378,27 @@ def reference_equal(phi: HierState, psi: HierState) -> bool:
         and len(phi.children) == len(psi.children)
         and all(reference_equal(a, b) for a, b in zip(phi.children, psi.children))
     )
+
+
+_DATACLASSES: dict[type, type] = {}
+
+
+def _as_dataclass(value):
+    if isinstance(value, _Value):
+        cls = type(value)
+        if cls not in _DATACLASSES:
+            _DATACLASSES[cls] = make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+        return _DATACLASSES[cls](*(_as_dataclass(getattr(value, name)) for name in cls.__slots__))
+    if type(value) is tuple:
+        return tuple(map(_as_dataclass, value))
+    return value
+
+
+def reference_repr(value) -> str:
+    """repr(value) with every hierwave value type in it, in a field or in a plain
+    tuple, rebuilt as a frozen dataclass of the same name and fields: the text
+    _Value.__repr__ gives, by recursion, so for shallow values only."""
+    return repr(_as_dataclass(value))
 
 
 def chain_state(depth: int, n_leaves: int = 1) -> HierState:

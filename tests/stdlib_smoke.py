@@ -54,13 +54,14 @@ def import_package():
     import hierwave.cli  # noqa: F401
 
 
-# each subcommand imports only the modules it runs: decompose loads rep_theory alone
+# each subcommand imports only the modules it runs: decompose loads rep_theory
+# alone, beside the leaf module _value that holds the value-type base
 IMPORT_SCOPE = """
 import sys
 import hierwave.cli
 assert hierwave.cli.main(['decompose', '--spins', '1/2,1/2']) == 0
 loaded = sorted(m for m in sys.modules if m.startswith('hierwave.'))
-assert loaded == ['hierwave.cli', 'hierwave.rep_theory'], loaded
+assert loaded == ['hierwave._value', 'hierwave.cli', 'hierwave.rep_theory'], loaded
 """
 
 
@@ -69,11 +70,14 @@ def decompose_loads_rep_theory_alone():
     assert proc.returncode == 0, proc.stderr[-1000:]
 
 
-# no subcommand loads dataclasses, nor inspect, which dataclasses imports:
-# each value type is a plain class with __slots__; classify reads a series
-# written here, since none is bundled
+# no subcommand loads dataclasses, nor inspect, which dataclasses imports, nor
+# typing: each value type is a plain class with __slots__ and each record a
+# collections.namedtuple; classify reads a series written here, since none is
+# bundled
 NO_DATACLASSES = """
-import math, os, sys
+import sys
+started = set(sys.modules)  # without -S, a site .pth file may have loaded typing already
+import math, os
 from pathlib import Path
 import hierwave.cli
 data = sys.argv[1]
@@ -86,8 +90,8 @@ for argv in (['decompose', '--spins', '1/2,1/2,1'],
              ['simulate', '--config', os.path.join(data, 'harmonic_benchmark.json'), '--out', 'nd.csv'],
              ['classify', '--series', 'cos.csv', '--quantization', '0.05']):
     assert hierwave.cli.main(argv) == 0, argv
-loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))
-assert loaded == [], loaded
+    loaded = sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules) - started)
+    assert loaded == [], (argv, loaded)
 """
 
 

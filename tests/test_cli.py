@@ -710,17 +710,18 @@ def test_package_import_loads_no_submodule():
     assert _loaded_submodules("import sys, hierwave") == "[]"
 
 
+# each subcommand also loads _value, the leaf module that holds the value-type base
 _SUBCOMMAND_MODULES = [
-    (["decompose", "--spins", "1/2,1/2"], ["cli", "rep_theory"]),
+    (["decompose", "--spins", "1/2,1/2"], ["_value", "cli", "rep_theory"]),
     (["validate", "--state", data_path("two_spin_example.json")],
-     ["cli", "physicality", "rep_theory", "state_tree"]),
+     ["_value", "cli", "physicality", "rep_theory", "state_tree"]),
     (["pauli", "--state", data_path("two_spin_example.json")],
-     ["cli", "physicality", "rep_theory", "state_tree"]),
-    (["info", "--state", data_path("two_spin_example.json")], ["cli", "rep_theory", "state_tree"]),
-    (["classify", "--series", "{tmp}/s.csv", "--quantization", "0.5"], ["cli", "complexity"]),
+     ["_value", "cli", "physicality", "rep_theory", "state_tree"]),
+    (["info", "--state", data_path("two_spin_example.json")], ["_value", "cli", "rep_theory", "state_tree"]),
+    (["classify", "--series", "{tmp}/s.csv", "--quantization", "0.5"], ["_value", "cli", "complexity"]),
     (["repair", "--scenario", data_path("hydra.json"), "--remove", "1,2"],
-     ["cli", "rep_theory", "repair_cascade"]),
-    (["simulate", "--config", "{tmp}/cfg.json", "--out", "{tmp}/t.csv"], ["cli", "dynamics"]),
+     ["_value", "cli", "rep_theory", "repair_cascade"]),
+    (["simulate", "--config", "{tmp}/cfg.json", "--out", "{tmp}/t.csv"], ["_value", "cli", "dynamics"]),
 ]
 
 
@@ -844,3 +845,15 @@ def test_long_error_message_is_cut(case, tmp_path, capsys):
     assert len(full) > MAX_ERROR_CHARS
     assert err == f"error: ValueError: {full[:MAX_ERROR_CHARS]}... ({len(full)} characters)\n"
     assert len(err) < MAX_ERROR_CHARS + 50 and "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly():
+    # `simulate | head -1`: the CSV is far larger than a pipe's buffer, so the
+    # write after the reader has gone fails; the command exits 1 and says nothing
+    argv = [sys.executable, "-m", "hierwave.cli", "simulate", "--config", data_path("harmonic_benchmark.json")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": SRC}) as proc:
+        assert proc.stdout.readline() == b"t,x1,x2,v1,v2,m1_eff,m2_eff,E_total\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

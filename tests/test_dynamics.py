@@ -530,6 +530,20 @@ class TestNonFiniteState:
         with pytest.raises(NonFiniteStateError, match=r"^momentum of block 1 overflows at v=3\.3\d*e\+113$"):
             step(cfg, state)
 
+    def test_step_to_a_nan_state_raises(self):
+        # the force k (x1 - x2) overflows in the first stage, and every new x and v is NaN
+        cfg = SimConfig(1.0, UP, k=1e300, x_init=(-1e300, 1e300), dt=1.0, steps=1)
+        message = r"^x1=nan, x2=nan, v1=nan, v2=nan at t=1\.0: not all finite$"
+        with pytest.raises(NonFiniteStateError, match=message):
+            step(cfg, SimState(t=0.0, x=cfg.x_init, v=cfg.v_init))
+        assert run(cfg).error.startswith("NonFiniteStateError: ")
+
+    def test_step_keeps_large_finite_positions(self):
+        # each value is checked on its own, as in run(): x1 + x2 overflows here, the state does not
+        cfg = config(x_init=(1e308, 1e308), v_init=(0.5, 0.5))
+        state = step(cfg, SimState(t=0.0, x=cfg.x_init, v=cfg.v_init))
+        assert state.x == (1e308, 1e308) and all(map(math.isfinite, state.v))
+
 
 class TestConfigIO:
     def test_from_obj(self):
