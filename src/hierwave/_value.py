@@ -22,14 +22,23 @@ def _shown(value) -> str:
 
 class _Value:
     """Base of hierwave's immutable value types.  A subclass names its fields in
-    __slots__, in constructor order, sets them once in __init__ through
-    object.__setattr__, and writes out its own __eq__, true only within the
-    class, and __hash__, of the field tuple (a tree's, of its pre-order
-    sequence).  The repr is the class name and each field=value in order; a
-    field can be neither assigned nor deleted; copy and pickle rebuild a value
-    through the validating constructor."""
+    __slots__, in constructor order, and sets them once in __init__ through
+    object.__setattr__.  Equality (true only within one class), hash, copy
+    and pickle all go through __reduce__: by default the class and its field
+    tuple, so that copy and pickle rebuild a value through the validating
+    constructor; a tree overrides it with its flat pre-order sequence, so that
+    none of these recurse.  The repr is the class name and each field=value in
+    order; a field can be neither assigned nor deleted."""
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
 
     def __repr__(self) -> str:
         """The text a frozen dataclass would show, built from an explicit

@@ -38,7 +38,7 @@ from enum import Enum
 from itertools import repeat
 from operator import truediv
 
-from ._value import _Value
+from ._value import _shown, _Value
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -58,19 +58,9 @@ class MatrixElementSeries(_Value):
         if not values:
             raise ValueError("series must be non-empty")
         if not 0 < quantization < math.inf:
-            raise ValueError(
-                f"quantization must be positive and finite, got {quantization!r}"
-            )
+            raise ValueError(f"quantization must be positive and finite, got {_shown(quantization)}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "quantization", quantization)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.quantization) == (other.values, other.quantization)
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.quantization))
 
 
 ComplexityReport = namedtuple("ComplexityReport", ("raw_bits", "compressed_bits", "ratio", "verdict", "threshold"))

@@ -97,8 +97,12 @@ class SimConfig(_Value):
             ("potential_U k", k), ("potential_Lambda kappa", kappa),
         ]
         for name, value in finite:
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            try:
+                is_finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{name} must lie within the float range, got {_shown(value)}") from None
+            if not is_finite:
+                raise ValueError(f"{name} must be finite, got {_shown(value)}")
         if isinstance(steps, float) and steps.is_integer():
             steps = int(steps)
         if isinstance(steps, bool) or not isinstance(steps, int):
@@ -118,14 +122,6 @@ class SimConfig(_Value):
         values = (m0, spins, lambda0, lambda1, k, kappa, x_init, v_init, dt, steps)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()  # (class, field tuple)
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__()[1])
 
     def spin_product(self, block: int) -> float:
         s = self.spins

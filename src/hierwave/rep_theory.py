@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod, sqrt
 
-from ._value import _Value
+from ._value import _shown, _Value
 
 
 class EmptyProductError(ValueError):
@@ -101,11 +101,12 @@ class IrrepLabel(_Value):
     def __init__(self, twice_j: int) -> None:
         # exact ints only: a float would make dim and the weight count non-integral
         if type(twice_j) is not int:
-            raise ValueError(f"twice_j must be an int, got {twice_j!r}")
+            raise ValueError(f"twice_j must be an int, got {_shown(twice_j)}")
         if twice_j < 0:
             raise ValueError(f"twice_j must be >= 0, got {_int_text(twice_j)}")
         object.__setattr__(self, "twice_j", twice_j)
 
+    # written out: a trees or coupling phase compares about 2,000 labels, and _Value.__eq__ takes 12x as long
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -129,14 +130,6 @@ class IrrepSum(_Value):
 
     def __init__(self, entries: tuple[tuple[IrrepLabel, int], ...]) -> None:
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     def multiplicity(self, label: IrrepLabel) -> int:
         for lab, mult in self.entries:
@@ -228,18 +221,8 @@ class CGQuery(_Value):
         values = (twice_j1, twice_m1, twice_j2, twice_m2, twice_J, twice_M)
         for name, value in zip(self.__slots__, values):
             if type(value) is not int:
-                raise InvalidQueryError(f"{name} must be an int, got {value!r}")
+                raise InvalidQueryError(f"{name} must be an int, got {_shown(value)}")
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.twice_j1 == other.twice_j1 and self.twice_m1 == other.twice_m1
-                and self.twice_j2 == other.twice_j2 and self.twice_m2 == other.twice_m2
-                and self.twice_J == other.twice_J and self.twice_M == other.twice_M)
-
-    def __hash__(self) -> int:
-        return hash((self.twice_j1, self.twice_m1, self.twice_j2, self.twice_m2, self.twice_J, self.twice_M))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import zip_longest
 
 from ._value import _Value
 from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
@@ -29,9 +28,9 @@ class EmptyRemainderError(ValueError):
 class ComponentSpec(_Value):
     """A component with its irrep and its subcomponents one level down.
 
-    Equality and hash go over the pre-order (name, irrep, subcomponent count)
-    sequence, which fixes the tree, so they do not recurse and depth is
-    unbounded."""
+    Equality, hash, copy and pickle go through the pre-order (name, irrep,
+    subcomponent count) sequence, which fixes the tree, so none of them
+    recurse and depth is unbounded."""
 
     __slots__ = ("name", "irrep", "subcomponents")
 
@@ -40,13 +39,8 @@ class ComponentSpec(_Value):
         object.__setattr__(self, "irrep", irrep)
         object.__setattr__(self, "subcomponents", tuple(subcomponents))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _same_forest((self,), (other,))
-
-    def __hash__(self) -> int:
-        return hash(tuple(_preorder((self,))))
+    def __reduce__(self):
+        return _assemble, (tuple(_preorder(self)),)
 
     def validate(self, path: str = "") -> list[str]:
         """A component must be buildable from its own parts: its irrep must
@@ -68,39 +62,35 @@ class ComponentSpec(_Value):
         return problems
 
 
-def _preorder(components: tuple[ComponentSpec, ...]) -> Iterator[tuple[str, IrrepLabel, int]]:
-    """The pre-order (name, irrep, subcomponent count) sequence of a list of
-    components, from an explicit stack; each tree in it ends where its counts
-    say, so the sequence fixes the list."""
-    stack = list(reversed(components))
+def _preorder(comp: ComponentSpec) -> Iterator[tuple[str, IrrepLabel, int]]:
+    """The pre-order (name, irrep, subcomponent count) sequence of a component,
+    from an explicit stack; it fixes the tree."""
+    stack = [comp]
     while stack:
         comp = stack.pop()
         yield comp.name, comp.irrep, len(comp.subcomponents)
         stack.extend(reversed(comp.subcomponents))
 
 
-def _same_forest(a: tuple[ComponentSpec, ...], b: tuple[ComponentSpec, ...]) -> bool:
-    """True iff two lists of components are equal, name, irrep and shape."""
-    return all(p == q for p, q in zip_longest(_preorder(a), _preorder(b)))
+def _assemble(triples: tuple[tuple[str, IrrepLabel, int], ...]) -> ComponentSpec:
+    """Rebuild a component from its pre-order (name, irrep, subcomponent count)
+    triples, as state_tree._assemble rebuilds a state."""
+    stack: list[ComponentSpec] = []
+    for name, irrep, n_subcomponents in reversed(triples):
+        top = len(stack) - n_subcomponents
+        stack[top:] = [ComponentSpec(name, irrep, stack[top:][::-1])]
+    return stack[0]
 
 
 class Organism(_Value):
-    """A target irrep and the components that should build it; equality and
-    hash, like ComponentSpec's, do not recurse."""
+    """A target irrep and the components that should build it; its components
+    compare, hash, copy and pickle without recursion, and so does it."""
 
     __slots__ = ("target_irrep", "components")
 
     def __init__(self, target_irrep: IrrepLabel, components: tuple[ComponentSpec, ...]) -> None:
         object.__setattr__(self, "target_irrep", target_irrep)
         object.__setattr__(self, "components", tuple(components))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.target_irrep == other.target_irrep and _same_forest(self.components, other.components)
-
-    def __hash__(self) -> int:
-        return hash((self.target_irrep, *_preorder(self.components)))
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -127,14 +117,6 @@ class RemovalAction(_Value):
         if any(i < 0 for i in removed_indices):
             raise ValueError("component indices must be non-negative")
         object.__setattr__(self, "removed_indices", removed_indices)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.removed_indices == other.removed_indices
-
-    def __hash__(self) -> int:
-        return hash((self.removed_indices,))
 
 
 class Remainder(namedtuple("Remainder", ("target_irrep", "components", "complete"))):
