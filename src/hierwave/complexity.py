@@ -59,6 +59,11 @@ class MatrixElementSeries(_Value):
             raise ValueError("series must be non-empty")
         if not 0 < quantization < math.inf:
             raise ValueError(f"quantization must be positive and finite, got {_shown(quantization)}")
+        try:  # symbolize divides floats by it
+            float(quantization)
+        except OverflowError:  # an int (or Fraction) beyond the float range
+            shown = f"an int of {quantization.bit_length()} bits" if isinstance(quantization, int) else _shown(quantization)
+            raise ValueError(f"quantization must lie within the float range, got {shown}") from None
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "quantization", quantization)
 

@@ -66,6 +66,14 @@ class NonFiniteStateError(ValueError):
 MAX_STEPS = 2_000_000
 
 
+def _floats(name: str, values) -> tuple[float, ...]:
+    """The values as floats; an int beyond the float range raises ValueError naming the field."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{name} must lie within the float range, got {_shown(values)}") from None
+
+
 class SimConfig(_Value):
     """A run's parameters, checked and normalised by the constructor; build a
     changed config through it too, so that the change is checked."""
@@ -85,9 +93,7 @@ class SimConfig(_Value):
         dt: float = 1e-3,
         steps: int = 1000,
     ) -> None:
-        spins = tuple(float(s) for s in spins)
-        x_init = tuple(float(x) for x in x_init)
-        v_init = tuple(float(v) for v in v_init)
+        spins, x_init, v_init = _floats("spins", spins), _floats("x_init", x_init), _floats("v_init", v_init)
         for name, pair in (("x_init", x_init), ("v_init", v_init)):
             if len(pair) != 2:
                 raise ValueError(f"{name} must have two entries, got {len(pair)}")

@@ -6,13 +6,12 @@ product of the factors' weight polynomials, and Clebsch-Gordan
 coefficients are evaluated from the binomial form of Racah's sum, every
 term an exact product of three binomials (Condon-Shortley phase convention
 throughout); no factorial table is kept between calls. The coefficients
-are cached: one sum is evaluated per +-m pair, the partner taking the
-(-1)^(j1+j2-J) phase, and a query is validated on its first call.
+are cached in one bounded dict with one entry per +-m pair, the partner
+taking the (-1)^(j1+j2-J) phase; a query is validated when it misses.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, prod, sqrt
 
 from ._value import _shown, _Value
@@ -50,6 +49,14 @@ MAX_SPIN_TEXT = 100
 # MAX_TWICE_J take 80 KB, 1,000 spin-1/2 factors 126 KB and 0.07 s, while
 # 4,000 of them would take 2 MB and about 5 s.
 MAX_PRODUCT_BYTES = 512 * 1024
+
+# The most entries clebsch_gordan's cache holds: it is cleared whole when it
+# reaches this size.  An entry (key tuple, float and dict slot) takes about
+# 170 B of resident memory, so a full cache holds about 21 MB (Python 3.11);
+# the benchmark's three coupling tables fill 23,007.
+MAX_CG_CACHE = 1 << 17
+
+_cg_cache: dict[tuple[int, int, int, int, int, int], float] = {}  # canonical query -> value
 
 
 def format_j(twice_j: int) -> str:
@@ -225,18 +232,8 @@ class CGQuery(_Value):
             object.__setattr__(self, name, value)
 
 
-@lru_cache(maxsize=None)
 def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    # validate before anything else: lru_cache stores no exception, so an
-    # invalid query raises on every call, naming the m it was given
-    for tj, tm, name in ((tj1, tm1, "j1/m1"), (tj2, tm2, "j2/m2"), (tJ, tM, "J/M")):
-        if tj < 0:
-            raise InvalidQueryError(f"{name}: negative spin 2j={tj}")
-        if abs(tm) > tj:
-            raise InvalidQueryError(f"{name}: |m| > j (2j={tj}, 2m={tm})")
-        if (tm - tj) % 2 != 0:
-            raise InvalidQueryError(f"{name}: parity mismatch (2j={tj}, 2m={tm})")
-
+    """<j1 m1 j2 m2 | J M> for a valid query with M > 0, or M = 0 and m1 >= 0."""
     if tM != tm1 + tm2:
         return 0.0
     if not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
@@ -244,17 +241,9 @@ def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float
     if (tj1 + tj2 + tJ) % 2 != 0:
         return 0.0
 
-    # evaluate one of each +-m pair, the one with M > 0, or M = 0 and m1 >= 0:
-    # <j1 -m1 j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1 j2 m2 | J M>, the same
-    # rational square, so the same double; a zero keeps its + sign
-    if tM < 0 or (tM == 0 and tm1 < 0):
-        v = _cg_value(tj1, -tm1, tj2, -tm2, tJ, -tM)
-        return -v if v and (tj1 + tj2 - tJ) % 4 else v
-
     # Racah's sum in binomial form: with a = j1+j2-J, b = j1-m1, c = j2+m2,
     # p = j1-j2+J and q = J+j2-j1, S = sum over k of (-1)^k C(a,k) C(p,b-k) C(q,c-k),
-    # every term an exact integer; the range is never empty for a query that
-    # passed the checks above
+    # every term an exact integer; the range is never empty for a valid query
     a = (tj1 + tj2 - tJ) // 2
     b = (tj1 - tm1) // 2
     c = (tj2 + tm2) // 2
@@ -285,8 +274,30 @@ def clebsch_gordan(q: CGQuery) -> float:
     the square is one correctly rounded int ratio, so the float result is
     within ~1 ulp at any spin unless its square underflows.  A cold query at
     2j1 = 2j2 = 2000 takes about 15-35 ms (2-core Xeon, Python 3.11).
-    Values are cached: one sum is evaluated per +-m pair (the other member is
-    the (-1)^(j1+j2-J) phase times it), and a query is validated on its first
-    call; an invalid one raises InvalidQueryError on every call.
+    Values are cached in _cg_cache, one entry per +-m pair under the member
+    with M > 0, or M = 0 and m1 >= 0; the other member is the (-1)^(j1+j2-J)
+    phase times it, and a zero keeps its + sign.  The cache is cleared whole
+    when it reaches MAX_CG_CACHE entries.  A query is validated when it
+    misses the cache, and an invalid one, never stored, raises
+    InvalidQueryError on every call, naming the m it was given.
     """
-    return _cg_value(q.twice_j1, q.twice_m1, q.twice_j2, q.twice_m2, q.twice_J, q.twice_M)
+    tj1, tm1, tj2, tm2, tJ, tM = q.twice_j1, q.twice_m1, q.twice_j2, q.twice_m2, q.twice_J, q.twice_M
+    # <j1 -m1 j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1 j2 m2 | J M>, the same
+    # rational square, so the same double
+    flip = tM < 0 or (tM == 0 and tm1 < 0)
+    key = (tj1, -tm1, tj2, -tm2, tJ, -tM) if flip else (tj1, tm1, tj2, tm2, tJ, tM)
+    value = _cg_cache.get(key)
+    if value is None:
+        # validate the query as given, so that the message names the caller's m;
+        # the checks are symmetric in m -> -m, so its partner is invalid too
+        for tj, tm, name in ((tj1, tm1, "j1/m1"), (tj2, tm2, "j2/m2"), (tJ, tM, "J/M")):
+            if tj < 0:
+                raise InvalidQueryError(f"{name}: negative spin 2j={tj}")
+            if abs(tm) > tj:
+                raise InvalidQueryError(f"{name}: |m| > j (2j={tj}, 2m={tm})")
+            if (tm - tj) % 2 != 0:
+                raise InvalidQueryError(f"{name}: parity mismatch (2j={tj}, 2m={tm})")
+        if len(_cg_cache) >= MAX_CG_CACHE:
+            _cg_cache.clear()
+        value = _cg_cache[key] = _cg_value(*key)
+    return -value if flip and value and (tj1 + tj2 - tJ) % 4 else value

@@ -786,7 +786,7 @@ def decode_symbols(bits: Sequence[int]) -> list[int]:
     return out
 
 
-# Rational reference for hierwave.rep_theory._cg_value: the Racah sum in
+# Rational reference for hierwave.rep_theory.clebsch_gordan: the Racah sum in
 # Fraction arithmetic, which the integer sum must match bit for bit.
 
 
@@ -837,8 +837,9 @@ def fraction_cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) 
     return sign * sqrt(float(pref * total * total))
 
 
-# Factorial-form reference for hierwave.rep_theory._cg_value: the integer Racah
-# sum the binomial form replaced, one big-integer division per term.
+# Factorial-form reference for hierwave.rep_theory.clebsch_gordan: the integer
+# Racah sum the binomial form replaced, one big-integer division per term, with
+# the +-m partner rule clebsch_gordan applies to its cache entries.
 
 _REF_FACT = [1]  # _REF_FACT[n] == n!, extended on demand
 

@@ -275,6 +275,27 @@ def clebsch_gordan_tables():
     assert cg(CGQuery(j, j, j, j, 2 * j, 2 * j)) == 1.0
 
 
+def cg_cache_is_bounded():
+    # clebsch_gordan clears its cache whole when it reaches MAX_CG_CACHE: with a bound of 50,
+    # the full (7, 7) table fills and clears it many times, every value unchanged, then the
+    # bound is restored
+    from hierwave import rep_theory
+    from hierwave.rep_theory import CGQuery, clebsch_gordan as cg
+    queries = [CGQuery(7, m1, 7, m2, J, M) for m1 in range(-7, 8, 2) for m2 in range(-7, 8, 2)
+               for J in range(0, 15, 2) for M in range(-J, J + 1, 2)]
+    expected = [cg(q) for q in queries]
+    bound, rep_theory.MAX_CG_CACHE = rep_theory.MAX_CG_CACHE, 50
+    try:
+        rep_theory._cg_cache.clear()
+        sizes = []
+        for q, x in zip(queries, expected):
+            assert cg(q) == x, q
+            sizes.append(len(rep_theory._cg_cache))
+        assert max(sizes) == 50 and sizes.count(1) > 10, (max(sizes), sizes.count(1))
+    finally:
+        rep_theory.MAX_CG_CACHE = bound
+
+
 def decompose_product_catalan():
     # decompose_product counts weights in one big-integer product: check 200 spin-1/2
     # factors against the closed form, the singlet count being the Catalan number C_100
@@ -309,6 +330,7 @@ CHECKS = [
     cli_classify_uniform,
     classify_names_bad_line,
     clebsch_gordan_tables,
+    cg_cache_is_bounded,
     decompose_product_catalan,
 ]
 

@@ -425,6 +425,22 @@ class TestBinomialRacahSum:
         assert clebsch_gordan(CGQuery(tj, tj, tj, tj, 2 * tj, 2 * tj)) == 1.0
 
 
+def _canonical(q):
+    """The member of q's +-m pair that keys the cache: M > 0, or M = 0 and m1 >= 0."""
+    tj1, tm1, tj2, tm2, tJ, tM = q
+    return q if tM > 0 or (tM == 0 and tm1 >= 0) else (tj1, -tm1, tj2, -tm2, tJ, -tM)
+
+
+def _valid_table(tj1, tj2):
+    """The (tj1, tj2) coupling table's queries with M = m1 + m2 and |M| <= J."""
+    return [
+        (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+        for tm1 in range(-tj1, tj1 + 1, 2)
+        for tm2 in range(-tj2, tj2 + 1, 2)
+        for tJ in range(max(abs(tj1 - tj2), abs(tm1 + tm2)), tj1 + tj2 + 1, 2)
+    ]
+
+
 def _table(tj1, tj2):
     """Every query of the (tj1, tj2) coupling table, M != m1 + m2 included."""
     return [
@@ -437,8 +453,8 @@ def _table(tj1, tj2):
 
 
 class TestCachedEntryPoint:
-    """One sum per +-m pair, the partner taking the (-1)^(j1+j2-J) phase;
-    exact-int queries, validated inside the cache."""
+    """One cache entry per +-m pair, the partner taking the (-1)^(j1+j2-J)
+    phase; exact-int queries, validated on each miss; a bounded cache."""
 
     @pytest.mark.parametrize("tj1, tj2", [(10, 12), (7, 7)])
     def test_every_zero_is_positive(self, tj1, tj2):
@@ -465,18 +481,62 @@ class TestCachedEntryPoint:
         assert checked > 1000
 
     def test_invalid_negative_M_query_names_the_given_m_every_call(self):
-        rep_theory._cg_value.cache_clear()
+        rep_theory._cg_cache.clear()
         message = re.escape("j1/m1: |m| > j (2j=1, 2m=-3)")
         for _ in range(2):
             with pytest.raises(InvalidQueryError, match=message):
                 clebsch_gordan(CGQuery(1, -3, 1, 1, 2, -2))
 
-    def test_cache_holds_one_entry_per_table_query(self):
-        rep_theory._cg_value.cache_clear()
+    def test_cache_holds_one_entry_per_pm_pair(self):
+        rep_theory._cg_cache.clear()
         table = _table(10, 12)
         for q in table:
             clebsch_gordan(CGQuery(*q))
-        assert rep_theory._cg_value.cache_info().currsize == len(table)
+        canonical = {_canonical(q) for q in table}
+        assert len(canonical) < len(table)
+        assert set(rep_theory._cg_cache) == canonical
+
+    def test_cache_stays_within_its_bound_and_values_survive_a_clear(self, monkeypatch):
+        monkeypatch.setattr(rep_theory, "MAX_CG_CACHE", 1_000)
+        rep_theory._cg_cache.clear()
+        queries = [q for tj1 in range(1, 9) for tj2 in range(1, 9) for q in _valid_table(tj1, tj2)][:5_000]
+        assert len(queries) == len(set(queries)) == 5_000
+        clears, size = 0, 0
+        for q in queries + queries[:1_000]:  # the second pass misses again after the clears
+            got = clebsch_gordan(CGQuery(*q))
+            clears += len(rep_theory._cg_cache) < size
+            size = len(rep_theory._cg_cache)
+            assert size <= 1_000
+            assert got.hex() == reference_cg_value(*q).hex(), q
+        assert clears >= 2
+
+    def test_invalid_query_raises_after_its_table_was_cached_and_cleared(self, monkeypatch):
+        monkeypatch.setattr(rep_theory, "MAX_CG_CACHE", 100)
+        rep_theory._cg_cache.clear()
+        invalid = (1, -3, 1, 1, 2, -2)
+        message = re.escape("j1/m1: |m| > j (2j=1, 2m=-3)")
+        for q in _table(1, 1):
+            clebsch_gordan(CGQuery(*q))
+        with pytest.raises(InvalidQueryError, match=message):
+            clebsch_gordan(CGQuery(*invalid))
+        for q in _valid_table(6, 8):  # past the bound: the cache is cleared
+            clebsch_gordan(CGQuery(*q))
+        assert (1, 1, 1, 1, 2, 2) not in rep_theory._cg_cache
+        with pytest.raises(InvalidQueryError, match=message):
+            clebsch_gordan(CGQuery(*invalid))
+        assert _canonical(invalid) not in rep_theory._cg_cache
+
+    def test_table_values_do_not_depend_on_which_member_comes_first(self):
+        table = _valid_table(26, 30)
+        random.Random(2417).shuffle(table)
+        negative = [q for q in table if q != _canonical(q)]
+        positive = [q for q in table if q == _canonical(q)]
+        assert negative and positive
+        runs = []
+        for order in (negative + positive, positive + negative):
+            rep_theory._cg_cache.clear()
+            runs.append({q: clebsch_gordan(CGQuery(*q)).hex() for q in order})
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("fields, name", [
         ((1.0, 1, 1, 1, 2, 2), "twice_j1"),

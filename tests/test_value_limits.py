@@ -69,3 +69,20 @@ def test_constructor_rejects_with_a_bounded_named_message(build, error, start):
         build()
     message = str(caught.value)
     assert message.startswith(start) and len(message) < 600
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spins", (0.5, 0.5, 10**400, 0.5)),
+    ("x_init", (10**400, 0)),
+    ("v_init", (0.0, -10**400)),
+])
+def test_sim_config_names_a_field_past_the_float_range(field, value):
+    fields = {"spins": SPINS, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must lie within the float range, got \\(") as caught:
+        SimConfig(1.0, **fields)
+    assert len(str(caught.value)) < 600
+
+
+def test_series_refuses_a_quantization_past_the_float_range():
+    with pytest.raises(ValueError, match="^quantization must lie within the float range, got an int of 1329 bits$"):
+        MatrixElementSeries((1.0, 2.0), 10**400)
