@@ -1,6 +1,6 @@
-"""The base of hierwave's immutable value types, and the bounded repr that
-error messages show.  This module imports nothing from hierwave, so that
-simulate and classify use it without loading rep_theory or state_tree."""
+"""The base of hierwave's immutable value types, the bounded repr of error
+messages, and the pre-order walk of trees.  This module imports nothing from
+hierwave, so simulate and classify use it without rep_theory or state_tree."""
 
 # The most characters of a rejected value's repr that an error message shows:
 # a message stays well below cli.MAX_ERROR_CHARS, whatever the value's size.
@@ -20,15 +20,40 @@ def _shown(value) -> str:
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
 
 
+def _preorder(root, visit):
+    """The pre-order (item, child count) pairs of a tree, which fix it, from an
+    explicit stack, so depth is unbounded.  visit(node) returns the node's
+    item, built first, and then its children."""
+    stack = [root]
+    while stack:
+        item, children = visit(stack.pop())
+        yield item, len(children)
+        stack.extend(reversed(children))
+
+
+def _assemble(pairs, make):
+    """Rebuild a tree from its pre-order pairs as make(item, subtrees), bottom-up
+    as they arrive: a node waits on the stack until its last subtree is made."""
+    stack = []  # the open nodes: (item, child count, subtrees made so far)
+    for item, n_children in pairs:
+        stack.append((item, n_children, []))
+        while len(stack[-1][2]) == stack[-1][1]:
+            item, _, subtrees = stack.pop()
+            node = make(item, subtrees)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+
+
 class _Value:
     """Base of hierwave's immutable value types.  A subclass names its fields in
     __slots__, in constructor order, and sets them once in __init__ through
     object.__setattr__.  Equality (true only within one class), hash, copy
     and pickle all go through __reduce__: by default the class and its field
     tuple, so that copy and pickle rebuild a value through the validating
-    constructor; a tree overrides it with its flat pre-order sequence, so that
-    none of these recurse.  The repr is the class name and each field=value in
-    order; a field can be neither assigned nor deleted."""
+    constructor; a tree overrides it with _assemble and its flat pre-order
+    sequence, so that none of these recurse.  The repr is the class name and
+    each field=value in order; a field can be neither assigned nor deleted."""
 
     __slots__ = ()
 

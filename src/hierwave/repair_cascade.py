@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from collections.abc import Iterator
 
-from ._value import _Value
+from ._value import _assemble, _preorder, _Value
 from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
 
@@ -28,7 +27,7 @@ class EmptyRemainderError(ValueError):
 class ComponentSpec(_Value):
     """A component with its irrep and its subcomponents one level down.
 
-    Equality, hash, copy and pickle go through the pre-order (name, irrep,
+    Equality, hash, copy and pickle go through the pre-order ((name, irrep),
     subcomponent count) sequence, which fixes the tree, so none of them
     recurse and depth is unbounded."""
 
@@ -40,7 +39,7 @@ class ComponentSpec(_Value):
         object.__setattr__(self, "subcomponents", tuple(subcomponents))
 
     def __reduce__(self):
-        return _assemble, (tuple(_preorder(self)),)
+        return _assemble, (tuple(_preorder(self, _spec_and_subcomponents)), _component)
 
     def validate(self, path: str = "") -> list[str]:
         """A component must be buildable from its own parts: its irrep must
@@ -62,24 +61,13 @@ class ComponentSpec(_Value):
         return problems
 
 
-def _preorder(comp: ComponentSpec) -> Iterator[tuple[str, IrrepLabel, int]]:
-    """The pre-order (name, irrep, subcomponent count) sequence of a component,
-    from an explicit stack; it fixes the tree."""
-    stack = [comp]
-    while stack:
-        comp = stack.pop()
-        yield comp.name, comp.irrep, len(comp.subcomponents)
-        stack.extend(reversed(comp.subcomponents))
+# the visit of _preorder and the make of _assemble for a component
+def _spec_and_subcomponents(comp: ComponentSpec) -> tuple[tuple[str, IrrepLabel], tuple[ComponentSpec, ...]]:
+    return (comp.name, comp.irrep), comp.subcomponents
 
 
-def _assemble(triples: tuple[tuple[str, IrrepLabel, int], ...]) -> ComponentSpec:
-    """Rebuild a component from its pre-order (name, irrep, subcomponent count)
-    triples, as state_tree._assemble rebuilds a state."""
-    stack: list[ComponentSpec] = []
-    for name, irrep, n_subcomponents in reversed(triples):
-        top = len(stack) - n_subcomponents
-        stack[top:] = [ComponentSpec(name, irrep, stack[top:][::-1])]
-    return stack[0]
+def _component(spec: tuple[str, IrrepLabel], subcomponents: list[ComponentSpec]) -> ComponentSpec:
+    return ComponentSpec(*spec, subcomponents)
 
 
 class Organism(_Value):
@@ -209,27 +197,24 @@ def ionize_recombine(
 #                                 "subcomponents": [...]}, ...]}
 
 
-def _component_from_obj(obj: dict) -> ComponentSpec:
-    return ComponentSpec(
-        name=str(obj["name"]),
-        irrep=IrrepLabel(parse_j(str(obj["irrep"]))),
-        subcomponents=tuple(_component_from_obj(c) for c in obj.get("subcomponents", [])),
-    )
+def _spec_from_obj(obj: dict) -> tuple[tuple[str, IrrepLabel], list]:
+    """A scenario component's checked (name, irrep), built before its
+    subcomponents are read, so the first bad one in pre-order is named."""
+    return (str(obj["name"]), IrrepLabel(parse_j(str(obj["irrep"])))), list(obj.get("subcomponents", []))
+
+
+def _component_obj(spec: tuple[str, IrrepLabel], subcomponents: list[dict]) -> dict:
+    """A component's scenario object; "subcomponents" only when it has some."""
+    name, irrep = spec
+    obj: dict = {"name": name, "irrep": format_j(irrep.twice_j)}
+    if subcomponents:
+        obj["subcomponents"] = subcomponents
+    return obj
 
 
 def organism_to_obj(org: Organism) -> dict:
-    """The scenario object of org, built from an explicit stack, so depth is
-    bounded by memory and not by the recursion limit; a component has a
-    "subcomponents" key only when it has subcomponents."""
-    components: list[dict] = []
-    stack = [(comp, components) for comp in reversed(org.components)]
-    while stack:
-        comp, siblings = stack.pop()
-        obj: dict = {"name": comp.name, "irrep": format_j(comp.irrep.twice_j)}
-        siblings.append(obj)
-        if comp.subcomponents:
-            obj["subcomponents"] = subs = []
-            stack.extend((sub, subs) for sub in reversed(comp.subcomponents))
+    """The scenario object of org, of any depth."""
+    components = [_assemble(_preorder(comp, _spec_and_subcomponents), _component_obj) for comp in org.components]
     return {"target": format_j(org.target_irrep.twice_j), "components": components}
 
 
@@ -237,7 +222,7 @@ def organism_from_obj(obj: dict) -> Organism:
     try:
         return Organism(
             target_irrep=IrrepLabel(parse_j(str(obj["target"]))),
-            components=tuple(_component_from_obj(c) for c in obj["components"]),
+            components=tuple(_assemble(_preorder(c, _spec_from_obj), _component) for c in obj["components"]),
         )
     except KeyError as exc:
         raise ValueError(f"not a hierwave scenario: missing key {exc}") from None
@@ -249,5 +234,5 @@ def load_organism(path: str) -> Organism:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return organism_from_obj(json.load(fh))
-        except RecursionError as exc:  # nested too deep to read or to build
+        except RecursionError as exc:  # nested too deep to read
             raise ValueError(f"not a hierwave scenario: {exc}") from None

@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from operator import attrgetter
 
-from ._value import _shown, _Value
+from ._value import _assemble, _preorder, _shown, _Value
 from .rep_theory import check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
@@ -29,7 +30,7 @@ UNSPECIFIED = "unspecified"
 STATISTICS = (BOSON, FERMION, UNSPECIFIED)
 
 AMPLITUDE_TOL = 1e-12
-_TOO_DEEP = "state exceeds the JSON nesting limit of about 490 tree levels (2 JSON levels each)"
+_TOO_DEEP = "state exceeds the json module's JSON nesting limit (2 JSON levels per tree level)"
 
 class ShapeMismatchError(ValueError):
     """Addition of trees that are not congruent."""
@@ -159,8 +160,11 @@ class HierState(_Value):
         object.__setattr__(self, "children", tuple(children))
 
     def __reduce__(self):
-        return _assemble, (tuple(_preorder(self)),)
+        return _assemble, (tuple(_preorder(self, _wave_and_children)), HierState)
 
+
+# the visit of _preorder for a HierState: its (wave, child count) sequence fixes the tree
+_wave_and_children = attrgetter("wave", "children")
 
 Violation = namedtuple("Violation", ("path", "message"))
 
@@ -177,26 +181,6 @@ def iter_nodes(psi: HierState) -> Iterator[tuple[str, HierState]]:
         stack.extend(reversed([(f"{path}.{i}", c) for i, c in enumerate(node.children)]))
 
 
-def _preorder(psi: HierState) -> Iterator[tuple[NodeWave, int]]:
-    """The pre-order (wave, child count) sequence, which fixes the tree; the
-    walk behind the operations that report no paths."""
-    stack = [psi]
-    while stack:
-        node = stack.pop()
-        yield node.wave, len(node.children)
-        stack.extend(reversed(node.children))
-
-
-def _assemble(pairs: Iterable[tuple[NodeWave, int]]) -> HierState:
-    """Rebuild a tree from its pre-order (wave, child count) pairs: in reverse
-    pre-order each node finds its subtrees on the stack, first child on top."""
-    stack: list[HierState] = []
-    for wave, n_children in reversed(list(pairs)):
-        top = len(stack) - n_children
-        stack[top:] = [HierState(wave, stack[top:][::-1])]
-    return stack[0]
-
-
 def dominant_label(wave: NodeWave) -> BasisLabel:
     """Basis label of the largest-|amplitude| entry; ties go to the lowest index."""
     if not wave.amplitudes:
@@ -211,8 +195,9 @@ def dominant_label(wave: NodeWave) -> BasisLabel:
 def scalar_mul(a: complex, psi: HierState) -> HierState:
     """Multiply every amplitude at every node by a; tree shape is preserved."""
     return _assemble(
-        (NodeWave(w.level, [a * x for x in w.amplitudes], w.statistics, w.quantum_numbers), n)
-        for w, n in _preorder(psi)
+        ((NodeWave(w.level, [a * x for x in w.amplitudes], w.statistics, w.quantum_numbers), n)
+         for w, n in _preorder(psi, _wave_and_children)),
+        HierState,
     )
 
 
@@ -220,7 +205,8 @@ def congruent(phi: HierState, psi: HierState) -> bool:
     """True iff the trees have identical shape, level indices, group tags and
     bases node by node."""
     return all(
-        p.level == q.level and m == n for (p, m), (q, n) in zip(_preorder(phi), _preorder(psi))
+        p.level == q.level and m == n
+        for (p, m), (q, n) in zip(_preorder(phi, _wave_and_children), _preorder(psi, _wave_and_children))
     )
 
 
@@ -229,9 +215,10 @@ def add(phi: HierState, psi: HierState) -> HierState:
     if not congruent(phi, psi):
         raise ShapeMismatchError("cannot add non-congruent hierarchical states")
     return _assemble(
-        (NodeWave(p.level, [x + y for x, y in zip(p.amplitudes, q.amplitudes)],
-                  p.statistics, p.quantum_numbers), n)
-        for (p, n), (q, _) in zip(_preorder(phi), _preorder(psi))
+        ((NodeWave(p.level, [x + y for x, y in zip(p.amplitudes, q.amplitudes)],
+                   p.statistics, p.quantum_numbers), n)
+         for (p, n), (q, _) in zip(_preorder(phi, _wave_and_children), _preorder(psi, _wave_and_children))),
+        HierState,
     )
 
 
@@ -347,43 +334,44 @@ def _label_key(obj: dict, shared: dict) -> tuple:
     return key
 
 
-def state_to_obj(psi: HierState) -> dict:
-    wave = psi.wave
+def _node_obj(wave: NodeWave, children: list[dict]) -> dict:
+    """A node's document: "children" before "quantum_numbers", if it has them."""
     obj = {
         "level": wave.level.level_index,
         "group": wave.level.group,
         "basis": [_label_to_obj(b) for b in wave.level.basis],
         "amplitudes": [[a.real, a.imag] for a in wave.amplitudes],
         "statistics": wave.statistics,
+        "children": children,
     }
-    try:
-        obj["children"] = [state_to_obj(c) for c in psi.children]
-    except RecursionError:
-        raise StateTooDeepError(_TOO_DEEP) from None
     if wave.quantum_numbers is not None:
         obj["quantum_numbers"] = list(wave.quantum_numbers)
     return obj
 
 
+def state_to_obj(psi: HierState) -> dict:
+    """The document of a state, of any depth."""
+    return _assemble(_preorder(psi, _wave_and_children), _node_obj)
+
+
 def state_from_obj(obj: dict) -> HierState:
-    """The tree of a state document.  Each distinct level, and each distinct
+    """The tree of a state document, of any depth; the first bad node in
+    pre-order is the one named.  Each distinct level, and each distinct
     label, is built once per call and shared by every node that has it."""
-    try:
-        return _state_from_obj(obj, {})
-    except RecursionError:
-        raise StateTooDeepError(_TOO_DEEP) from None
-
-
-def _state_from_obj(obj: dict, shared: dict) -> HierState:
     # shared maps each key, the checked content of a level (level int, group,
     # label keys) or of a label (class, fields), to the one object built for it
-    key = _integer(obj, "level"), str(obj["group"]), tuple([_label_key(b, shared) for b in obj["basis"]])
-    if key not in shared:
-        shared[key] = HierarchyLevel(key[0], key[1], map(shared.__getitem__, key[2]))
-    # the amplitudes are checked as NodeWave reads them, before it checks the rest
-    wave = NodeWave(shared[key], map(_amplitude, obj["amplitudes"]), obj.get("statistics", UNSPECIFIED),
-                    obj.get("quantum_numbers"))
-    return HierState(wave, [_state_from_obj(c, shared) for c in obj.get("children", [])])
+    shared: dict = {}
+
+    def visit(obj: dict) -> tuple[NodeWave, list]:
+        key = _integer(obj, "level"), str(obj["group"]), tuple([_label_key(b, shared) for b in obj["basis"]])
+        if key not in shared:
+            shared[key] = HierarchyLevel(key[0], key[1], map(shared.__getitem__, key[2]))
+        # the amplitudes are checked as NodeWave reads them, before it checks the rest
+        wave = NodeWave(shared[key], map(_amplitude, obj["amplitudes"]), obj.get("statistics", UNSPECIFIED),
+                        obj.get("quantum_numbers"))
+        return wave, list(obj.get("children", []))
+
+    return _assemble(_preorder(obj, visit), HierState)
 
 
 def state_to_json(psi: HierState) -> str:

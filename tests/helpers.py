@@ -26,8 +26,8 @@ from hierwave.dynamics import (
     potential_energy,
 )
 from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
-from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product, format_j
-from hierwave.repair_cascade import ComponentSpec
+from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
+from hierwave.repair_cascade import ComponentSpec, Organism
 from hierwave.state_tree import (
     _TOO_DEEP,
     FERMION,
@@ -43,6 +43,7 @@ from hierwave.state_tree import (
     UNSPECIFIED,
     _amplitude,
     _integer,
+    _label_to_obj,
     _shown,
     dominant_label,
 )
@@ -88,6 +89,27 @@ def reference_organism_to_obj(org) -> dict:
         return obj
 
     return {"target": format_j(org.target_irrep.twice_j), "components": [component(c) for c in org.components]}
+
+
+def reference_organism_from_obj(obj: dict) -> Organism:
+    """organism_from_obj with its components built by recursion: one call per
+    level, each component's name and irrep read before its subcomponents."""
+    def component(obj: dict) -> ComponentSpec:
+        return ComponentSpec(
+            name=str(obj["name"]),
+            irrep=IrrepLabel(parse_j(str(obj["irrep"]))),
+            subcomponents=tuple(component(c) for c in obj.get("subcomponents", [])),
+        )
+
+    try:
+        return Organism(
+            target_irrep=IrrepLabel(parse_j(str(obj["target"]))),
+            components=tuple(component(c) for c in obj["components"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"not a hierwave scenario: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"not a hierwave scenario: {exc}") from None
 
 
 def weight_multiplicities(twice_js: list[int]) -> Counter:
@@ -362,6 +384,22 @@ def reference_state_from_obj(obj: dict) -> HierState:
         raise StateTooDeepError(_TOO_DEEP) from None
 
 
+def reference_state_to_obj(psi: HierState) -> dict:
+    """state_to_obj by recursion: one call per level, "children" before "quantum_numbers"."""
+    wave = psi.wave
+    obj = {
+        "level": wave.level.level_index,
+        "group": wave.level.group,
+        "basis": [_label_to_obj(b) for b in wave.level.basis],
+        "amplitudes": [[a.real, a.imag] for a in wave.amplitudes],
+        "statistics": wave.statistics,
+        "children": [reference_state_to_obj(c) for c in psi.children],
+    }
+    if wave.quantum_numbers is not None:
+        obj["quantum_numbers"] = list(wave.quantum_numbers)
+    return obj
+
+
 def reference_congruent(phi: HierState, psi: HierState) -> bool:
     """congruent by plain recursion."""
     return (
@@ -417,8 +455,9 @@ def chain_state(depth: int, n_leaves: int = 1) -> HierState:
 
 
 def chain_state_json(depth: int) -> str:
-    """JSON text of chain_state(depth), written by hand because past about
-    490 tree levels the json module can neither write nor read it."""
+    """JSON text of chain_state(depth), written by hand because past the json
+    module's nesting limit (two JSON levels per tree level) it can neither
+    write nor read it."""
     spin = '{"type": "spin", "twice_j": 1, "twice_m": 1}'
     return "".join(
         f'{{"level": {d}, "group": "SU2", "basis": [{spin}], "amplitudes": [[1.0, 0.0]], '

@@ -101,11 +101,12 @@ def no_subcommand_loads_dataclasses():
 
 
 def deep_scenario_and_long_index_fail_by_name():
-    # a 600-level scenario and a 5,000-digit index exit 1 with a named error, not a traceback
+    # a 20,000-level scenario (40,000 JSON levels, past the json module's limit on every
+    # Python version) and a 5,000-digit index exit 1 with a named error, not a traceback
     import hierwave.cli
     part = '{"name": "p", "irrep": "1/2", "subcomponents": ['
     leaf = '{"name": "leaf", "irrep": "1/2"}'
-    Path('deep.json').write_text('{"target": "0", "components": [' + part * 600 + leaf + ']}' * 600 + ']}')
+    Path('deep.json').write_text('{"target": "0", "components": [' + part * 20000 + leaf + ']}' * 20000 + ']}')
     cases = [
         (['repair', '--scenario', 'deep.json', '--remove', '0'],
          'error: ValueError: not a hierwave scenario: maximum recursion depth exceeded'),
@@ -118,6 +119,21 @@ def deep_scenario_and_long_index_fail_by_name():
             assert hierwave.cli.main(argv) == 1, argv[:3]
         text = err.getvalue()
         assert text.startswith(message) and 'Traceback' not in text, text[:300]
+
+
+def deep_trees_round_trip():
+    # a 10,000-level state and a 10,000-level organism round-trip through their obj forms: no codec recurses
+    from hierwave.rep_theory import IrrepLabel
+    from hierwave.repair_cascade import ComponentSpec, Organism, organism_from_obj, organism_to_obj
+    from hierwave.state_tree import SU2, HierarchyLevel, HierState, NodeWave, SpinWeight, state_from_obj, state_to_obj
+    psi = HierState(NodeWave(HierarchyLevel(10000, SU2, (SpinWeight(1, 1),)), (1.0,)))
+    comp = ComponentSpec('leaf', IrrepLabel(1))
+    for d in range(9999, -1, -1):
+        psi = HierState(NodeWave(HierarchyLevel(d, SU2, (SpinWeight(1, 1),)), (1.0,)), (psi,))
+        comp = ComponentSpec('c', IrrepLabel(2), (comp,))
+    assert state_from_obj(state_to_obj(psi)) == psi
+    org = Organism(IrrepLabel(2), (comp,))
+    assert organism_from_obj(organism_to_obj(org)) == org
 
 
 def two_spin_labels_and_cut_errors():
@@ -313,6 +329,7 @@ CHECKS = [
     decompose_loads_rep_theory_alone,
     no_subcommand_loads_dataclasses,
     deep_scenario_and_long_index_fail_by_name,
+    deep_trees_round_trip,
     two_spin_labels_and_cut_errors,
     no_spring_spellings_and_colliding_sweep,
     stiff_simulate_fails_by_name,

@@ -331,7 +331,7 @@ class TestInfo:
 @pytest.mark.parametrize("command", ["validate", "pauli", "info"])
 def test_too_deep_state_file_is_named_domain_error(command, tmp_path, capsys):
     path = tmp_path / "deep.json"
-    path.write_text(chain_state_json(600))
+    path.write_text(chain_state_json(20_000))  # 40,000 JSON levels: past the json module's limit everywhere
     assert main([command, "--state", str(path)]) == 1
     assert "error: StateTooDeepError: " in capsys.readouterr().err
 
@@ -774,37 +774,52 @@ def _deep_scenario(levels):
             + part * levels + '{"name": "leaf", "irrep": "1/2"}' + "]}" * levels + "]}")
 
 
+# the json module's nesting limit hits an array or an object depending on the interpreter
+_TOO_DEEP_SCENARIO = "not a hierwave scenario: maximum recursion depth exceeded while decoding a JSON"
+
+
 def test_too_deep_scenario_is_named_domain_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
-    path.write_text(_deep_scenario(600))
+    path.write_text(_deep_scenario(20_000))  # 40,000 JSON levels: past the json module's limit everywhere
     assert main(["repair", "--scenario", str(path), "--remove", "0"]) == 1
-    assert capsys.readouterr().err == ("error: ValueError: not a hierwave scenario: maximum recursion "
-                                       "depth exceeded while decoding a JSON array from a unicode string\n")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {_TOO_DEEP_SCENARIO} ") and err.count("\n") == 1
 
 
 def test_scenario_depths_near_the_limit_load_or_fail_by_name(tmp_path):
-    # around the limit, reading the JSON or building the components runs out of stack first
+    # only reading the JSON is bounded: the depth doubles from 256 until a load fails,
+    # then a bisection finds the first failing depth, and just below it every depth loads
     from hierwave.repair_cascade import load_organism
 
     path = tmp_path / "deep.json"
-    loaded = set()
-    for levels in range(440, 521):
+
+    def loads(levels):
         path.write_text(_deep_scenario(levels))
         try:
-            load_organism(str(path))
+            org = load_organism(str(path))
         except ValueError as exc:
-            assert str(exc).startswith("not a hierwave scenario: maximum recursion depth exceeded")
-            loaded.add(False)
-        else:
-            loaded.add(True)
-    assert loaded == {True, False}
+            assert str(exc).startswith(_TOO_DEEP_SCENARIO), (levels, str(exc)[:200])
+            return False
+        assert len(org.components) == 2
+        return True
+
+    low, high = 128, 256
+    while loads(high):
+        low, high = high, 2 * high
+        assert high <= 2**16, "no nesting limit below 65,536 levels"
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if loads(middle) else (low, middle)
+    for levels in range(low - 8, high):  # a plain loop: a generator's frame would cost one level
+        assert loads(levels), levels
+    assert not loads(high)
 
 
 def test_too_deep_config_value_is_named_domain_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "run", _fail)
     path = tmp_path / "cfg.json"
     path.write_text(Path(_harmonic_config(tmp_path)).read_text()
-                    .replace('"m0": 1.0', '"m0": ' + "[" * 2000 + "1" + "]" * 2000))
+                    .replace('"m0": 1.0', '"m0": ' + "[" * 40_000 + "1" + "]" * 40_000))
     assert main(["simulate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == ("error: ValueError: not a hierwave simulation config: maximum "
                                        "recursion depth exceeded while decoding a JSON array from a "

@@ -266,3 +266,11 @@ class TestScenarioFiles:
             node = node["subcomponents"][0]
         assert names == [f"c{i}" for i in reversed(range(2999))]
         assert node == {"name": "leaf", "irrep": "1/2"}
+
+    def test_depth_ten_thousand_chain_round_trips_through_its_obj_form(self):
+        # neither organism_to_obj nor organism_from_obj recurses, so depth is bounded by memory alone
+        comp = cell("leaf", HALF)
+        for i in range(10**4 - 1):
+            comp = cell(f"c{i}", ONE, [comp])
+        org = Organism(target_irrep=ONE, components=(comp, cell("e", HALF)))
+        assert organism_from_obj(organism_to_obj(org)) == org

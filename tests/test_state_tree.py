@@ -374,18 +374,23 @@ class TestDepth:
         assert state_from_json(chain_state_json(50)) == chain_state(50)
 
     def test_json_forms_reject_deep_state(self):
-        psi = chain_state(600)
-        with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
-            state_to_obj(psi)
+        # 20,000 tree levels are 40,000 JSON levels: past the json module's limit on every Python version
+        psi = chain_state(20_000)
         with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
             state_to_json(psi)
         with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
-            state_from_json(chain_state_json(600))
-        obj = {"level": 600, "group": SU2, "basis": [], "amplitudes": []}
-        for d in range(599, -1, -1):
-            obj = {"level": d, "group": SU2, "basis": [], "amplitudes": [], "children": [obj]}
-        with pytest.raises(StateTooDeepError, match="JSON nesting limit"):
-            state_from_obj(obj)
+            state_from_json(chain_state_json(20_000))
+
+    def test_obj_forms_round_trip_a_depth_ten_thousand_chain(self):
+        psi = chain_state(10**4)
+        obj = state_to_obj(psi)
+        assert state_from_obj(obj) == psi
+        keys = ["level", "group", "basis", "amplitudes", "statistics", "children"]
+        for d in range(10**4):
+            assert obj["level"] == d and list(obj) == keys
+            (obj,) = obj["children"]
+        assert obj == {"level": 10**4, "group": SU2, "basis": [{"type": "spin", "twice_j": 1, "twice_m": 1}],
+                       "amplitudes": [[1.0, 0.0]], "statistics": FERMION, "children": []}
 
     def test_chain_near_the_json_limit_round_trips_through_files(self, tmp_path):
         # 450 levels leaves room for the test runner's own frames
@@ -406,7 +411,7 @@ class TestDepth:
         path = tmp_path / "state.json"
         path.write_text("previous contents")
         with pytest.raises(StateTooDeepError):
-            save_state(chain_state(600), str(path))
+            save_state(chain_state(20_000), str(path))
         assert path.read_text() == "previous contents"
 
 
