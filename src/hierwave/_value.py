@@ -10,11 +10,12 @@ _SHOWN = 500
 def _shown(value) -> str:
     """repr(value), or its first _SHOWN characters and its length when longer;
     an int too long for repr() shows its size, and any other value whose
-    repr() fails (a list holding such an int) its type."""
+    repr() fails (a list holding such an int, or one nested past the
+    recursion limit) its type."""
     try:
         text = repr(value)
-    except ValueError:  # past sys.get_int_max_str_digits() digits
-        if isinstance(value, int):
+    except (ValueError, RecursionError):
+        if isinstance(value, int):  # past sys.get_int_max_str_digits() digits
             return f"an int of {value.bit_length()} bits"
         return f"a value of type {type(value).__name__} that repr() cannot show"
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"

@@ -66,17 +66,18 @@ class NonFiniteStateError(ValueError):
 MAX_STEPS = 2_000_000
 
 
-def _floats(name: str, values) -> tuple[float, ...]:
-    """The values as floats; an int beyond the float range raises ValueError naming the field."""
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise ValueError(f"{name} must lie within the float range, got {_shown(values)}") from None
+def _is_number(value) -> bool:
+    """True for a number as JSON has them: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class SimConfig(_Value):
-    """A run's parameters, checked and normalised by the constructor; build a
-    changed config through it too, so that the change is checked."""
+    """A run's parameters, checked and normalised by the constructor, the one
+    checker of a config from a file or from code; build a changed config
+    through it too, so that the change is checked.  Each float field is a
+    number but not a bool, within the float range and finite, and spins,
+    x_init and v_init are lists or tuples of such numbers; the first bad
+    field in constructor order is named."""
 
     __slots__ = ("m0", "spins", "lambda0", "lambda1", "k", "kappa", "x_init", "v_init", "dt", "steps")
 
@@ -93,22 +94,27 @@ class SimConfig(_Value):
         dt: float = 1e-3,
         steps: int = 1000,
     ) -> None:
-        spins, x_init, v_init = _floats("spins", spins), _floats("x_init", x_init), _floats("v_init", v_init)
-        for name, pair in (("x_init", x_init), ("v_init", v_init)):
-            if len(pair) != 2:
-                raise ValueError(f"{name} must have two entries, got {len(pair)}")
-        finite = [
-            ("m0", m0), ("lambda0", lambda0), ("lambda1", lambda1), ("dt", dt),
-            *(("x_init", x) for x in x_init), *(("v_init", v) for v in v_init),
-            ("potential_U k", k), ("potential_Lambda kappa", kappa),
-        ]
-        for name, value in finite:
+        checked = []
+        for name, value in (
+            ("m0", m0), ("spins", spins), ("lambda0", lambda0), ("lambda1", lambda1),
+            ("potential_U k", k), ("potential_Lambda kappa", kappa), ("x_init", x_init), ("v_init", v_init),
+            ("dt", dt),
+        ):
+            many = name in ("spins", "x_init", "v_init")
+            items = value if many else (value,)
+            if not (isinstance(items, (list, tuple)) and all(map(_is_number, items))):
+                raise ValueError(f"{name} must be {'a list of numbers' if many else 'a number'}, got {_shown(value)}")
             try:
-                is_finite = math.isfinite(value)
+                floats = tuple(map(float, items))
             except OverflowError:  # an int beyond the float range
                 raise ValueError(f"{name} must lie within the float range, got {_shown(value)}") from None
-            if not is_finite:
-                raise ValueError(f"{name} must be finite, got {_shown(value)}")
+            if name in ("x_init", "v_init") and len(floats) != 2:
+                raise ValueError(f"{name} must have two entries, got {len(floats)}")
+            for x in floats if name != "spins" else ():  # a spin is checked against +-0.5 below
+                if not math.isfinite(x):
+                    raise ValueError(f"{name} must be finite, got {_shown(x)}")
+            checked.append(floats if many else floats[0])
+        m0, spins, lambda0, lambda1, k, kappa, x_init, v_init, dt = checked
         if isinstance(steps, float) and steps.is_integer():
             steps = int(steps)
         if isinstance(steps, bool) or not isinstance(steps, int):
@@ -159,10 +165,11 @@ def momentum(cfg: SimConfig, block: int, v: float) -> float:
 
 
 def _branch(cfg: SimConfig, block: int) -> tuple:
-    """Constants (block, a, b, 2r, p_c) of the monotone branch of
-    p = a*v + b*v^3, where p_c = 2ar/3 (the turning momentum when b < 0).
-    2r = 0 selects the linear inverse v = p/a, for b = 0 and for a |b| so
-    small that r overflows."""
+    """(a, b, v(p)): the constants of p = a*v + b*v^3 and its inverse on the
+    monotone branch through v = 0, chosen once so that RK4 stages call it
+    without dispatch.  Only the inverse for a |b| so small that r overflows
+    checks the mass a + b v^2 / 2: for b = 0 it is a > 0, for b > 0 at least
+    a, and on the b < 0 branch, where |v| < r, above 5a/6."""
     sig = cfg.spin_product(block)
     a = cfg.m0 + sig * cfg.lambda0
     b = 2.0 * sig * cfg.lambda1
@@ -171,50 +178,43 @@ def _branch(cfg: SimConfig, block: int) -> tuple:
             f"dp/dv at v=0 is {a!r} <= 0 for block {block + 1}: p(v) is not monotone"
         )
     r = math.sqrt(a / (3.0 * abs(b))) if b else math.inf
-    if r == math.inf:
-        return block, a, b, 0.0, 0.0
-    return block, a, b, 2.0 * r, 2.0 * a * r / 3.0
-
-
-def _inverse(branch: tuple):
-    """The branch's v(p).  Only the tiny-b form checks the mass a + b v^2 / 2:
-    for b = 0 it is a > 0 (or NaN, which never compares <= 0), for b > 0 at
-    least a, and on the b < 0 branch, where |v| < r, above 5a/6."""
-    block, a, b, two_r, p_c = branch
+    two_r, p_c = 2.0 * r, 2.0 * a * r / 3.0  # p_c: the turning momentum when b < 0
     if not b:
-        return lambda p: p / a
-    if two_r == 0.0:  # b so small that r overflows
+        def inverse(p):
+            return p / a
+    elif r == math.inf:  # b so small that r overflows
         def inverse(p):
             v = p / a
             if (m := a + 0.5 * b * v * v) <= 0.0:
                 raise NonpositiveMassError(f"effective mass {m!r} for block {block + 1} at v={v!r}")
             return v
     elif b > 0.0:
-        return lambda p: two_r * math.sinh(math.asinh(p / p_c) / 3.0)
+        def inverse(p):
+            return two_r * math.sinh(math.asinh(p / p_c) / 3.0)
     else:  # the branch ends at the turning momentum p_c
         def inverse(p):
             if not -p_c < p < p_c:
                 raise LegendreSingularityError(
                     f"p={p!r} for block {block + 1} is past the turning momentum {p_c!r} where dp/dv = 0")
             return two_r * math.sin(math.asin(p / p_c) / 3.0)
-    return inverse
+    return a, b, inverse
 
 
 def invert_momentum(cfg: SimConfig, block: int, p: float) -> float:
     """Solve p = m0*v + s1*s2*(lambda0*v + 2*lambda1*v^3) for v in closed
     form on the branch where dp/dv > 0; raises LegendreSingularityError
     where that branch does not reach p."""
-    return _inverse(_branch(cfg, block))(p)
+    return _branch(cfg, block)[2](p)
 
 
 def _branches(cfg: SimConfig, v: tuple[float, float]) -> tuple[tuple, tuple]:
-    """Both blocks' branch constants, after checking that the velocities v
+    """Both blocks' branches (a, b, v(p)), after checking that the velocities v
     are admissible: positive mass and dp/dv > 0."""
     out = []
     for i in (0, 1):
         effective_mass(cfg, i, v[i])
         branch = _branch(cfg, i)
-        slope = branch[1] + 3.0 * branch[2] * v[i] * v[i]
+        slope = branch[0] + 3.0 * branch[1] * v[i] * v[i]
         if slope <= 0.0:
             raise LegendreSingularityError(f"dp/dv = {slope!r} <= 0 for block {i + 1} at v={v[i]!r}")
         out.append(branch)
@@ -231,7 +231,7 @@ def energy(cfg: SimConfig, x: tuple[float, float], v: tuple[float, float]) -> fl
     """Jacobi energy h = sum_i (p_i v_i - L_i) + U(|x1-x2|) + kappa*S1*S2 of an
     admissible state, p_i v_i - L_i being a v^2 / 2 + 3 b v^4 / 4; it reduces
     to sum m_i(v_i) v_i^2 / 2 + U + kappa*S1*S2 when lambda1 = 0."""
-    (_, a1, b1, _, _), (_, a2, b2, _, _) = _branches(cfg, v)
+    (a1, b1, _), (a2, b2, _) = _branches(cfg, v)
     w1, w2 = v[0] * v[0], v[1] * v[1]
     return w1 * (0.5 * a1 + 0.75 * b1 * w1) + w2 * (0.5 * a2 + 0.75 * b2 * w2) + potential_energy(cfg, x)
 
@@ -240,7 +240,7 @@ def _integrate(cfg: SimConfig, br1: tuple, br2: tuple, x: tuple, v: tuple):
     """Classical RK4 on (x, p) with force -k (x1 - x2) on block 1, from the admissible
     (x, v) on branches br1, br2: yields the checked (x1, x2, v1, v2) after each step."""
     dt, h, s, nk = cfg.dt, 0.5 * cfg.dt, cfg.dt / 6.0, -cfg.k
-    vel1, vel2 = _inverse(br1), _inverse(br2)
+    vel1, vel2 = br1[2], br2[2]
     (x1, x2), (v1, v2) = x, v
     p1, p2 = momentum(cfg, 0, v1), momentum(cfg, 1, v2)
     while True:
@@ -282,7 +282,7 @@ def run(cfg: SimConfig) -> Trajectory:
     append, new, isfinite = samples.append, tuple.__new__, math.isfinite
     dt, hk, t, lam = cfg.dt, 0.5 * cfg.k, 0.0, potential_energy(cfg, (0.0, 0.0))  # lam = kappa*S1*S2
     try:
-        (_, a1, b1, _, _), (_, a2, b2, _, _) = br1, br2 = _branches(cfg, cfg.v_init)
+        (a1, b1, _), (a2, b2, _) = br1, br2 = _branches(cfg, cfg.v_init)
         states = islice(_integrate(cfg, br1, br2, cfg.x_init, cfg.v_init), cfg.steps)
         for x1, x2, v1, v2 in chain((cfg.x_init + cfg.v_init,), states):
             r, w1, w2 = x1 - x2, v1 * v1, v2 * v2
@@ -316,26 +316,10 @@ def max_energy_drift(traj: Trajectory) -> float:
 
 # --- JSON config files --------------------------------------------------------
 
-def _is_number(value) -> bool:
-    """True for a JSON number: an int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(value, key: str) -> float:
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {_shown(value)}")
-    return float(value)
-
-
-def _numbers(value, key: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ValueError(f"{key} must be a list of numbers, got {_shown(value)}")
-    return tuple(map(float, value))
-
-
 def _potential(obj: dict, key: str, kind: str, field: str) -> float:
-    """The coefficient obj[key][field] of the potential object of type kind;
-    a missing key, JSON null or type "none" means no potential, 0.0."""
+    """The coefficient obj[key][field] of the potential object of type kind, as
+    given (SimConfig checks it); a missing key, JSON null or type "none"
+    means no potential, 0.0."""
     pot = obj.get(key)
     if pot is None:
         return 0.0
@@ -346,26 +330,28 @@ def _potential(obj: dict, key: str, kind: str, field: str) -> float:
         return 0.0
     if got != kind:
         raise ValueError(f"unknown {key} type {_shown(got)}")
-    return _number(pot[field], f"{key} {field}")
+    return pot[field]
 
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
+    """The SimConfig of a config file's JSON object: keys map to fields, and
+    the constructor checks their values."""
     try:
         return SimConfig(
-            m0=_number(obj["m0"], "m0"),
-            spins=_numbers(obj["spins"], "spins"),
-            lambda0=_number(obj.get("lambda0", 0.0), "lambda0"),
-            lambda1=_number(obj.get("lambda1", 0.0), "lambda1"),
+            m0=obj["m0"],
+            spins=obj["spins"],
+            lambda0=obj.get("lambda0", 0.0),
+            lambda1=obj.get("lambda1", 0.0),
             k=_potential(obj, "potential_U", "harmonic", "k"),
             kappa=_potential(obj, "potential_Lambda", "linear", "kappa"),
-            x_init=_numbers(obj["x_init"], "x_init"),
-            v_init=_numbers(obj["v_init"], "v_init"),
-            dt=_number(obj["dt"], "dt"),
+            x_init=obj["x_init"],
+            v_init=obj["v_init"],
+            dt=obj["dt"],
             steps=obj["steps"],
         )
     except KeyError as exc:
         raise ValueError(f"not a hierwave simulation config: missing key {exc}") from None
-    except (TypeError, OverflowError) as exc:
+    except TypeError as exc:  # obj is not a JSON object
         raise ValueError(f"not a hierwave simulation config: {exc}") from None
 
 
@@ -375,7 +361,7 @@ def load_sim_config(path: str) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return sim_config_from_obj(json.load(fh))
-        except RecursionError as exc:  # nested too deep to read or to build
+        except RecursionError as exc:  # nested too deep for json to read
             raise ValueError(f"not a hierwave simulation config: {exc}") from None
 
 

@@ -10,8 +10,6 @@ from fractions import Fraction
 from math import factorial, sqrt
 from typing import Sequence
 
-import numpy as np
-
 from hierwave._value import _Value
 from hierwave.complexity import _first_appearance, _gamma_len, _header_bits, _zigzag
 from hierwave.dynamics import (
@@ -156,6 +154,8 @@ def fold_decompose_product(factors: Sequence[IrrepLabel]) -> IrrepSum:
 
 def _lowering(tj: int) -> np.ndarray:
     # J- in the basis m = j, j-1, ..., -j
+    import numpy as np  # here, so that the rest of the suite runs where numpy is not installed
+
     dim = tj + 1
     op = np.zeros((dim, dim))
     for i in range(dim - 1):
@@ -170,6 +170,8 @@ def cg_oracle_table(tj1: int, tj2: int) -> dict[tuple[int, int, int, int], float
     start from the stretch state, peel lower-J tops out of each weight space
     (sign fixed by a positive maximal-m1 coefficient), then apply the total
     lowering operator.  Keys are (2m1, 2m2, 2J, 2M)."""
+    import numpy as np
+
     d1, d2 = tj1 + 1, tj2 + 1
     low = np.kron(_lowering(tj1), np.eye(d2)) + np.kron(np.eye(d1), _lowering(tj2))
     coupled: dict[tuple[int, int], np.ndarray] = {}

@@ -505,7 +505,7 @@ def _harmonic_config(tmp_path, **changes):
      "potential_Lambda kappa must be finite, got nan"),
     ({"steps": 2.5}, "steps must be an integer, got 2.5"),
     ({"steps": math.inf}, "steps must be an integer, got inf"),
-    ({"m0": 10**400}, "not a hierwave simulation config: int too large to convert to float"),
+    ({"m0": 10**400}, f"m0 must lie within the float range, got {10**400}"),
     ({"v_init": [0.1]}, "v_init must have two entries, got 1"),
     ({"x_init": [-0.5, 0.5, 0.0]}, "x_init must have two entries, got 3"),
     ({"x_init": []}, "x_init must have two entries, got 0"),

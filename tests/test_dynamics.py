@@ -59,6 +59,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"):
             config(steps=MAX_STEPS + 1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("m0", "1", "m0 must be a number, got '1'"),
+        ("m0", True, "m0 must be a number, got True"),
+        ("dt", True, "dt must be a number, got True"),
+        ("k", None, "potential_U k must be a number, got None"),
+        ("lambda0", [1], "lambda0 must be a number, got [1]"),
+        ("x_init", None, "x_init must be a list of numbers, got None"),
+        ("spins", "abcd", "spins must be a list of numbers, got 'abcd'"),
+    ])
+    def test_in_memory_config_gets_the_file_message(self, field, value, message):
+        # SimConfig is the one checker: a value built in code is refused as in a file
+        in_file = {"potential_U": {"type": "harmonic", "k": value}} if field == "k" else {field: value}
+        for build in (lambda: config(**{field: value}), lambda: sim_config_from_obj(_harmonic_obj(**in_file))):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                build()
+
     def test_spin_products(self):
         cfg = config(spins=(0.5, -0.5, 0.5, 0.5))
         assert cfg.spin_product(0) == -0.25

@@ -1,16 +1,20 @@
 """Value types at their limits: trees copy and pickle at any depth, and a
-constructor refuses an oversized value with a bounded, named ValueError."""
+constructor or loader refuses an oversized value with a bounded, named
+ValueError."""
 
+import ast
 import copy
+import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
 from hierwave.complexity import MatrixElementSeries
-from hierwave.dynamics import SimConfig
+from hierwave.dynamics import SimConfig, sim_config_from_obj
 from hierwave.rep_theory import CGQuery, InvalidQueryError, IrrepLabel
 from hierwave.repair_cascade import ComponentSpec, Organism
-from hierwave.state_tree import SU2, HierarchyLevel, NodeWave, SpinWeight
+from hierwave.state_tree import SU2, HierarchyLevel, NodeWave, SpinWeight, state_from_obj, state_to_obj
 
 from helpers import chain_state
 
@@ -49,6 +53,9 @@ def test_deep_tree_copies_equal(how, tree, depth):
 
 
 HUGE_TEXT = "x" * 10**6
+DEEP = []  # [[...[]...]], 5,000 levels: past repr()'s recursion limit on 3.11 and 3.12 (3.13 shows it)
+for _ in range(5_000):
+    DEEP = [DEEP]
 REJECTED = [
     (lambda: IrrepLabel(HUGE_TEXT), ValueError, "twice_j must be an int, got 'xxx"),
     (lambda: CGQuery(HUGE_TEXT, 1, 1, 1, 0, 0), InvalidQueryError, "twice_j1 must be an int, got 'xxx"),
@@ -58,9 +65,13 @@ REJECTED = [
     (lambda: SimConfig(1.0, SPINS, dt=10**400), ValueError, "dt must lie within the float range, got 1000"),
     (lambda: SimConfig(10**5000, SPINS), ValueError, "m0 must lie within the float range, got an int of"),
     (lambda: NodeWave(LEVEL, [10**400]), ValueError, "amplitudes must lie within the float range, got [1000"),
+    (lambda: state_from_obj({**state_to_obj(chain_state(1)), "amplitudes": DEEP}), ValueError,
+     "amplitudes must be [re, im] pairs of finite numbers, got "),
+    (lambda: sim_config_from_obj({"m0": DEEP, "spins": SPINS, "x_init": [0, 0], "v_init": [0, 0], "dt": 0.1,
+                                  "steps": 1}), ValueError, "m0 must be a number, got "),
 ]
 REJECTED_IDS = ["IrrepLabel", "CGQuery", "MatrixElementSeries", "SimConfig-m0", "SimConfig-dt",
-                "SimConfig-m0-digits", "NodeWave"]
+                "SimConfig-m0-digits", "NodeWave", "state_from_obj-deep", "sim_config_from_obj-deep"]
 
 
 @pytest.mark.parametrize("build, error, start", REJECTED, ids=REJECTED_IDS)
@@ -86,3 +97,24 @@ def test_sim_config_names_a_field_past_the_float_range(field, value):
 def test_series_refuses_a_quantization_past_the_float_range():
     with pytest.raises(ValueError, match="^quantization must lie within the float range, got an int of 1329 bits$"):
         MatrixElementSeries((1.0, 2.0), 10**400)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hierwave"
+
+
+def test_readme_table_lists_every_limit():
+    # a module-level MAX_* name, with its value, must be a row of the README's limits table
+    rows = {}
+    for line in (SRC.parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `MAX_"):
+            name, value = (cell.strip() for cell in line.split("|")[1:3])
+            rows[name.strip("`")] = int(value.replace(",", ""))
+    limits = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"hierwave.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                        limits[target.id] = getattr(module, target.id)
+    assert rows == limits
