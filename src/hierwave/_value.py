@@ -1,6 +1,7 @@
 """The base of hierwave's immutable value types, the bounded repr of error
-messages, and the pre-order walk of trees.  This module imports nothing from
-hierwave, so simulate and classify use it without rep_theory or state_tree."""
+messages, the one error contract of the document loaders, and the pre-order
+walk of trees.  This module imports nothing from hierwave, so simulate and
+classify use it without rep_theory or state_tree."""
 
 # The most characters of a rejected value's repr that an error message shows:
 # a message stays well below cli.MAX_ERROR_CHARS, whatever the value's size.
@@ -19,6 +20,20 @@ def _shown(value) -> str:
             return f"an int of {value.bit_length()} bits"
         return f"a value of type {type(value).__name__} that repr() cannot show"
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
+def _document(what: str, lacks: str, build, arg):
+    """build(arg), under the one error contract of hierwave's document loaders:
+    they raise only ValueError or a subclass, at any depth.  A KeyError reads
+    "not a hierwave {what}: {lacks} 'key'", and a TypeError (a field of the
+    wrong type) or a RecursionError (a field nested too deep for str(), or a
+    file for json) "not a hierwave {what}: " and its own message."""
+    try:
+        return build(arg)
+    except KeyError as exc:
+        raise ValueError(f"not a hierwave {what}: {lacks} {exc}") from None
+    except (TypeError, RecursionError) as exc:
+        raise ValueError(f"not a hierwave {what}: {exc}") from None
 
 
 def _preorder(root, visit):

@@ -54,16 +54,22 @@ class MatrixElementSeries(_Value):
     __slots__ = ("values", "quantization")
 
     def __init__(self, values: tuple[float, ...], quantization: float) -> None:
-        values = tuple(map(float, values))
+        try:
+            values = tuple(map(float, values))
+        except (TypeError, OverflowError):  # not an iterable, an item that is not a number, or an int too large
+            raise ValueError(f"values must be numbers within the float range, got {_shown(values)}") from None
         if not values:
             raise ValueError("series must be non-empty")
-        if not 0 < quantization < math.inf:
+        try:
+            positive = 0 < quantization < math.inf
+        except TypeError:  # not a number
+            positive = False
+        if not positive:
             raise ValueError(f"quantization must be positive and finite, got {_shown(quantization)}")
-        try:  # symbolize divides floats by it
-            float(quantization)
-        except OverflowError:  # an int (or Fraction) beyond the float range
-            shown = f"an int of {quantization.bit_length()} bits" if isinstance(quantization, int) else _shown(quantization)
-            raise ValueError(f"quantization must lie within the float range, got {shown}") from None
+        try:  # symbolize divides floats by it, so as a float it must be neither infinite nor 0.0
+            1 / float(quantization)
+        except (OverflowError, ZeroDivisionError):  # an int or Fraction too large, or a Fraction too small
+            raise ValueError(f"quantization must lie within the float range, got {_shown(quantization)}") from None
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "quantization", quantization)
 

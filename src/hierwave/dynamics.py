@@ -44,7 +44,7 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from ._value import _shown, _Value
+from ._value import _document, _shown, _Value
 
 
 class NonpositiveMassError(ValueError):
@@ -335,34 +335,27 @@ def _potential(obj: dict, key: str, kind: str, field: str) -> float:
 
 def sim_config_from_obj(obj: dict) -> SimConfig:
     """The SimConfig of a config file's JSON object: keys map to fields, and
-    the constructor checks their values."""
-    try:
-        return SimConfig(
-            m0=obj["m0"],
-            spins=obj["spins"],
-            lambda0=obj.get("lambda0", 0.0),
-            lambda1=obj.get("lambda1", 0.0),
-            k=_potential(obj, "potential_U", "harmonic", "k"),
-            kappa=_potential(obj, "potential_Lambda", "linear", "kappa"),
-            x_init=obj["x_init"],
-            v_init=obj["v_init"],
-            dt=obj["dt"],
-            steps=obj["steps"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"not a hierwave simulation config: missing key {exc}") from None
-    except TypeError as exc:  # obj is not a JSON object
-        raise ValueError(f"not a hierwave simulation config: {exc}") from None
+    the constructor checks their values; a bad one raises only ValueError or
+    a subclass (_value._document)."""
+    return _document("simulation config", "missing key", lambda obj: SimConfig(
+        m0=obj["m0"],
+        spins=obj["spins"],
+        lambda0=obj.get("lambda0", 0.0),
+        lambda1=obj.get("lambda1", 0.0),
+        k=_potential(obj, "potential_U", "harmonic", "k"),
+        kappa=_potential(obj, "potential_Lambda", "linear", "kappa"),
+        x_init=obj["x_init"],
+        v_init=obj["v_init"],
+        dt=obj["dt"],
+        steps=obj["steps"],
+    ), obj)
 
 
 def load_sim_config(path: str) -> SimConfig:
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return sim_config_from_obj(json.load(fh))
-        except RecursionError as exc:  # nested too deep for json to read
-            raise ValueError(f"not a hierwave simulation config: {exc}") from None
+        return sim_config_from_obj(_document("simulation config", "missing key", json.load, fh))
 
 
 SWEEP_FIELDS = ("lambda0", "lambda1", "m0", "dt")

@@ -64,16 +64,10 @@ def format_j(twice_j: int) -> str:
     return str(twice_j // 2) if twice_j % 2 == 0 else f"{twice_j}/2"
 
 
-def _int_text(n: int):
-    """n for a message, or "an int of N bits" above 1024 bits: str() of an int
-    above sys.get_int_max_str_digits() digits would raise."""
-    return n if n.bit_length() <= 1024 else f"an int of {n.bit_length()} bits"
-
-
 def check_spin_range(twice_j: int) -> None:
     """Raise SpinRangeError if 2j is above MAX_TWICE_J."""
     if twice_j > MAX_TWICE_J:
-        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {_int_text(twice_j)}")
+        raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {_shown(twice_j)}")
 
 
 def parse_j(text: str) -> int:
@@ -110,7 +104,7 @@ class IrrepLabel(_Value):
         if type(twice_j) is not int:
             raise ValueError(f"twice_j must be an int, got {_shown(twice_j)}")
         if twice_j < 0:
-            raise ValueError(f"twice_j must be >= 0, got {_int_text(twice_j)}")
+            raise ValueError(f"twice_j must be >= 0, got {_shown(twice_j)}")
         object.__setattr__(self, "twice_j", twice_j)
 
     # written out: a trees or coupling phase compares about 2,000 labels, and _Value.__eq__ takes 12x as long

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from ._value import _assemble, _preorder, _Value
+from ._value import _assemble, _document, _preorder, _Value
 from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
 
@@ -41,13 +41,14 @@ class ComponentSpec(_Value):
     def __reduce__(self):
         return _assemble, (tuple(_preorder(self, _spec_and_subcomponents)), _component)
 
-    def validate(self, path: str = "") -> list[str]:
+    def validate(self) -> list[str]:
         """A component must be buildable from its own parts: its irrep must
         occur in the product of its subcomponents' irreps.  Problems come in
-        pre-order, from an explicit stack, so depth is bounded by memory and
-        not by the recursion limit."""
+        pre-order, each under its path of names from this component, from an
+        explicit stack, so depth is bounded by memory and not by the
+        recursion limit."""
         problems: list[str] = []
-        stack = [(self, path)]
+        stack = [(self, "")]
         while stack:
             comp, path = stack.pop()
             here = f"{path}/{comp.name}" if path else comp.name
@@ -219,20 +220,16 @@ def organism_to_obj(org: Organism) -> dict:
 
 
 def organism_from_obj(obj: dict) -> Organism:
-    try:
-        return Organism(
-            target_irrep=IrrepLabel(parse_j(str(obj["target"]))),
-            components=tuple(_assemble(_preorder(c, _spec_from_obj), _component) for c in obj["components"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"not a hierwave scenario: missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"not a hierwave scenario: {exc}") from None
+    """The organism of a scenario object, of any depth; a bad one raises only
+    ValueError or a subclass (_value._document)."""
+    return _document("scenario", "missing key", lambda obj: Organism(
+        target_irrep=IrrepLabel(parse_j(str(obj["target"]))),
+        components=tuple(_assemble(_preorder(c, _spec_from_obj), _component) for c in obj["components"]),
+    ), obj)
 
 
 def load_organism(path: str) -> Organism:
+    """The organism of a scenario file; a file that is not one, or is nested
+    too deep for json to read, raises only ValueError or a subclass."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return organism_from_obj(json.load(fh))
-        except RecursionError as exc:  # nested too deep to read
-            raise ValueError(f"not a hierwave scenario: {exc}") from None
+        return organism_from_obj(_document("scenario", "missing key", json.load, fh))

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import attrgetter
 
-from ._value import _assemble, _preorder, _shown, _Value
+from ._value import _assemble, _document, _preorder, _shown, _Value
 from .rep_theory import check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
@@ -127,6 +127,8 @@ class NodeWave(_Value):
             amplitudes = tuple(map(complex, amplitudes))
         except OverflowError:  # an int beyond the float range
             raise ValueError(f"amplitudes must lie within the float range, got {_shown(amplitudes)}") from None
+        except TypeError:  # not an iterable, or an item that is not a number
+            raise ValueError(f"amplitudes must be a sequence of numbers, got {_shown(amplitudes)}") from None
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "amplitudes", amplitudes)
         if statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
@@ -357,7 +359,9 @@ def state_to_obj(psi: HierState) -> dict:
 def state_from_obj(obj: dict) -> HierState:
     """The tree of a state document, of any depth; the first bad node in
     pre-order is the one named.  Each distinct level, and each distinct
-    label, is built once per call and shared by every node that has it."""
+    label, is built once per call and shared by every node that has it.
+    A bad document raises only ValueError or a subclass (_value._document):
+    a missing key reads "not a hierwave state: a node lacks key 'k'"."""
     # shared maps each key, the checked content of a level (level int, group,
     # label keys) or of a label (class, fields), to the one object built for it
     shared: dict = {}
@@ -371,7 +375,7 @@ def state_from_obj(obj: dict) -> HierState:
                         obj.get("quantum_numbers"))
         return wave, list(obj.get("children", []))
 
-    return _assemble(_preorder(obj, visit), HierState)
+    return _document("state", "a node lacks key", lambda root: _assemble(_preorder(root, visit), HierState), obj)
 
 
 def state_to_json(psi: HierState) -> str:
@@ -383,13 +387,10 @@ def state_to_json(psi: HierState) -> str:
 
 def state_from_json(text: str) -> HierState:
     try:
-        return state_from_obj(json.loads(text))
+        obj = json.loads(text)
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
-    except KeyError as exc:
-        raise ValueError(f"not a hierwave state: a node lacks key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"not a hierwave state: {exc}") from None
+    return state_from_obj(obj)
 
 
 def load_state(path: str) -> HierState:

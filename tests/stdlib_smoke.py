@@ -136,6 +136,24 @@ def deep_trees_round_trip():
     assert organism_from_obj(organism_to_obj(org)) == org
 
 
+def deep_fields_load_or_raise_value_error():
+    # a 5,000-deep list as a component's name and as a node's group: str() of it recurses past the
+    # limit on 3.11 and 3.12 (3.13 copes), so each load must succeed or raise ValueError, nothing else
+    from hierwave.repair_cascade import organism_from_obj
+    from hierwave.state_tree import state_from_obj
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    state = json.loads(Path(data('two_spin_example.json')).read_text(encoding='utf-8'))
+    state['group'] = deep
+    for load, doc in ((organism_from_obj, {'target': '0', 'components': [{'name': deep, 'irrep': '0'}]}),
+                      (state_from_obj, state)):
+        try:
+            load(doc)
+        except ValueError:
+            pass
+
+
 def two_spin_labels_and_cut_errors():
     # the paper's two-spin example on the tree's own labels; a 900-deep m0 and a
     # 4,000-digit sweep count exit 1 with their error text cut at 1,000 characters
@@ -330,6 +348,7 @@ CHECKS = [
     no_subcommand_loads_dataclasses,
     deep_scenario_and_long_index_fail_by_name,
     deep_trees_round_trip,
+    deep_fields_load_or_raise_value_error,
     two_spin_labels_and_cut_errors,
     no_spring_spellings_and_colliding_sweep,
     stiff_simulate_fails_by_name,

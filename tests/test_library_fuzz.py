@@ -1,0 +1,119 @@
+"""Library-level fuzz: the object loaders and the value constructors either
+succeed or raise ValueError (or a subclass) on junk fields, whatever their
+type and at any nesting depth."""
+
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+import hierwave
+from hierwave._value import _shown
+from hierwave.complexity import MatrixElementSeries
+from hierwave.dynamics import SimConfig, sim_config_from_obj
+from hierwave.rep_theory import CGQuery, IrrepLabel
+from hierwave.repair_cascade import organism_from_obj
+from hierwave.state_tree import SU2, HierarchyLevel, NodeWave, SpinWeight, state_from_obj
+
+DATA = Path(hierwave.__file__).parent / "data"
+
+DEEP = []  # [[...[]...]], 5,000 levels: past repr()'s and str()'s recursion limit on 3.11 and 3.12
+for _ in range(5_000):
+    DEEP = [DEEP]
+JUNK = [None, True, False, 10**400, math.nan, "", [], {}, [1], {"a": 1}, DEEP]
+JUNK_IDS = ["None", "True", "False", "10**400", "nan", "empty-str", "empty-list", "empty-dict", "[1]",
+            "{a: 1}", "deep"]
+
+LOADERS = {
+    "two_spin_example.json": state_from_obj,
+    "hydra.json": organism_from_obj,
+    "harmonic_benchmark.json": sim_config_from_obj,
+}
+
+
+def _slots(doc):
+    """Every (container, key) of doc: each object value and array item, at any depth."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            stack.append(node[key])
+    return slots
+
+
+def _mutant(rng, text):
+    """A fresh copy of the document with 1-3 of its fields replaced by junk; the
+    junk itself is shared between mutants, which no loader changes."""
+    doc = json.loads(text)
+    for container, key in rng.sample(_slots(doc), rng.randint(1, 3)):
+        container[key] = rng.choice(JUNK)
+    return doc
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_object_loaders_raise_only_value_error_on_seeded_mutants(name):
+    text, load = (DATA / name).read_text(encoding="utf-8"), LOADERS[name]
+    rng = random.Random(27)
+    loaded = refused = 0
+    for i in range(1_000):
+        doc = _mutant(rng, text)
+        try:
+            load(doc)
+        except ValueError:
+            refused += 1
+        except Exception as exc:  # noqa: BLE001 -- any other type breaks the contract
+            pytest.fail(f"mutant {i} of {name} raised {type(exc).__name__}: {_shown(exc)}")
+        else:
+            loaded += 1
+    assert refused >= 250, (loaded, refused)
+
+
+SPINS = (0.5,) * 4
+LEVEL = HierarchyLevel(0, SU2, (SpinWeight(1, 1),))
+SIM_FIELDS = {"m0": 1.0, "spins": SPINS, "lambda0": 0.0, "lambda1": 0.0, "k": 0.0, "kappa": 0.0,
+              "x_init": (0.0, 0.0), "v_init": (0.0, 0.0), "dt": 0.1, "steps": 10}
+CONSTRUCTORS = {
+    "SpinWeight-twice_j": lambda v: SpinWeight(v, 0),
+    "SpinWeight-twice_m": lambda v: SpinWeight(2, v),
+    "IrrepLabel": IrrepLabel,
+    **{f"CGQuery-{i}": lambda v, i=i: CGQuery(*[v if k == i else 1 for k in range(6)]) for i in range(6)},
+    "NodeWave-amplitudes": lambda v: NodeWave(LEVEL, v),
+    "NodeWave-statistics": lambda v: NodeWave(LEVEL, (1,), v),
+    "NodeWave-quantum_numbers": lambda v: NodeWave(LEVEL, (1,), quantum_numbers=v),
+    **{f"SimConfig-{field}": lambda v, field=field: SimConfig(**{**SIM_FIELDS, field: v}) for field in SIM_FIELDS},
+    "MatrixElementSeries-values": lambda v: MatrixElementSeries(v, 0.1),
+    "MatrixElementSeries-quantization": lambda v: MatrixElementSeries((1.0, 2.0), v),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_value_constructors_raise_only_value_error_on_junk(name):
+    for value, value_id in zip(JUNK, JUNK_IDS):
+        try:
+            CONSTRUCTORS[name](value)
+        except ValueError:
+            pass
+        except Exception as exc:  # noqa: BLE001 -- any other type breaks the contract
+            pytest.fail(f"{name}({value_id}) raised {type(exc).__name__}: {_shown(exc)}")
+
+
+# a value of the wrong type for the field: each raised a bare TypeError
+WRONG_TYPES = {
+    "NodeWave-amplitudes": ("None", "True", "10**400", "nan", "deep"),
+    "MatrixElementSeries-values": ("None", "False", "10**400", "nan", "deep"),
+    "MatrixElementSeries-quantization": ("None", "empty-str", "empty-list", "empty-dict", "[1]", "{a: 1}", "deep"),
+}
+
+
+@pytest.mark.parametrize("name, value_id", [(name, v) for name, ids in WRONG_TYPES.items() for v in ids])
+def test_wrong_type_is_named_with_its_shown_value(name, value_id):
+    value = JUNK[JUNK_IDS.index(value_id)]
+    with pytest.raises(ValueError) as caught:
+        CONSTRUCTORS[name](value)
+    field = name.split("-")[1]
+    message = str(caught.value)
+    assert message.startswith(f"{field} must be ") and message.endswith(f", got {_shown(value)}"), message

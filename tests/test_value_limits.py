@@ -6,6 +6,7 @@ import ast
 import copy
 import importlib
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -95,8 +96,16 @@ def test_sim_config_names_a_field_past_the_float_range(field, value):
 
 
 def test_series_refuses_a_quantization_past_the_float_range():
-    with pytest.raises(ValueError, match="^quantization must lie within the float range, got an int of 1329 bits$"):
+    with pytest.raises(ValueError) as caught:
         MatrixElementSeries((1.0, 2.0), 10**400)
+    assert str(caught.value) == f"quantization must lie within the float range, got {10**400}"
+
+
+def test_series_refuses_a_fraction_quantization_that_rounds_to_zero():
+    # float() of it is 0.0, by which symbolize would divide; a Fraction inside the float range is kept
+    with pytest.raises(ValueError, match=r"^quantization must lie within the float range, got Fraction\(1, 1000"):
+        MatrixElementSeries((1.0, 2.0), Fraction(1, 10**400))
+    assert MatrixElementSeries((1.0, 2.0), Fraction(1, 3)).quantization == Fraction(1, 3)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hierwave"
