@@ -183,9 +183,10 @@ def cmd_simulate(args) -> int:
             raise ValueError("sweep mode requires --out as a filename prefix")
         if name not in dynamics.SWEEP_FIELDS:
             raise ValueError(f"cannot sweep over field {name!r}")
-        paths = {}  # each value's CSV path; values that print alike would share one
+        paths = {}  # each value's CSV path; only equal values, or two nans, share one
         for value in values:
-            path = f"{args.out}_{name}_{value:g}.csv"
+            text = f"{value:g}"  # the short spelling, unless it reads back as another float
+            path = f"{args.out}_{name}_{text if float(text) == value else repr(value)}.csv"
             if path in paths:
                 raise ValueError(f"sweep values {paths[path]:.17g} and {value:.17g} both write {path}")
             paths[path] = value

@@ -60,6 +60,8 @@ class MatrixElementSeries(_Value):
             raise ValueError(f"values must be numbers within the float range, got {_shown(values)}") from None
         if not values:
             raise ValueError("series must be non-empty")
+        if quantization.__class__ is bool:  # as in SimConfig: True is not a step
+            raise ValueError(f"quantization must be a number, got {_shown(quantization)}")
         try:
             positive = 0 < quantization < math.inf
         except TypeError:  # not a number

@@ -7,7 +7,8 @@ coefficients are evaluated from the binomial form of Racah's sum, every
 term an exact product of three binomials (Condon-Shortley phase convention
 throughout); no factorial table is kept between calls. The coefficients
 are cached in one bounded dict with one entry per +-m pair, the partner
-taking the (-1)^(j1+j2-J) phase; a query is validated when it misses.
+taking the (-1)^(j1+j2-J) phase; a query is checked where it is built, each
+(2j, 2m) pair by the rule and wording of a state's SpinWeight.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class EmptyProductError(ValueError):
 
 
 class InvalidQueryError(ValueError):
-    """Clebsch-Gordan query violating |m| <= j or j/m parity."""
+    """A CGQuery pair (2j, 2m) that is not an SU(2) weight."""
 
 
 class SpinRangeError(ValueError):
@@ -68,6 +69,22 @@ def check_spin_range(twice_j: int) -> None:
     """Raise SpinRangeError if 2j is above MAX_TWICE_J."""
     if twice_j > MAX_TWICE_J:
         raise SpinRangeError(f"twice_j must be <= {MAX_TWICE_J}, got {_shown(twice_j)}")
+
+
+def _check_weight(twice_j, twice_m, error: type[ValueError], prefix: str) -> None:
+    """Raise error, its message opening with prefix, unless (2j, 2m) is an SU(2)
+    weight: exact ints, as a float or bool would pass as an equal label, with
+    2j >= 0, |m| <= j, and m and j of one parity."""
+    if type(twice_j) is not int:
+        raise error(f"{prefix}twice_j must be an int, got {_shown(twice_j)}")
+    if type(twice_m) is not int:
+        raise error(f"{prefix}twice_m must be an int, got {_shown(twice_m)}")
+    if twice_j < 0:
+        raise error(f"{prefix}twice_j must be >= 0, got {_shown(twice_j)}")
+    if abs(twice_m) > twice_j:
+        raise error(f"{prefix}|m| > j for (2j, 2m) = ({_shown(twice_j)}, {_shown(twice_m)})")
+    if (twice_m - twice_j) % 2:
+        raise error(f"{prefix}m and j parity mismatch: (2j, 2m) = ({_shown(twice_j)}, {_shown(twice_m)})")
 
 
 def parse_j(text: str) -> int:
@@ -212,27 +229,24 @@ def _weight_product(groups: dict[int, int], bits: int) -> int:
 
 
 class CGQuery(_Value):
-    """Coupling query <j1 m1 j2 m2 | J M>, all entries as doubled integers."""
+    """Coupling query <j1 m1 j2 m2 | J M>, all entries as doubled integers;
+    each (2j, 2m) pair must be a weight, as a SpinWeight's is, or
+    InvalidQueryError names the pair."""
 
     __slots__ = ("twice_j1", "twice_m1", "twice_j2", "twice_m2", "twice_J", "twice_M")
 
     def __init__(self, twice_j1: int, twice_m1: int, twice_j2: int, twice_m2: int,
                  twice_J: int, twice_M: int) -> None:
-        # exact ints only: an equal float or bool would share a validated cache key
-        values = (twice_j1, twice_m1, twice_j2, twice_m2, twice_J, twice_M)
-        for name, value in zip(self.__slots__, values):
-            if type(value) is not int:
-                raise InvalidQueryError(f"{name} must be an int, got {_shown(value)}")
+        _check_weight(twice_j1, twice_m1, InvalidQueryError, "j1/m1: ")
+        _check_weight(twice_j2, twice_m2, InvalidQueryError, "j2/m2: ")
+        _check_weight(twice_J, twice_M, InvalidQueryError, "J/M: ")
+        for name, value in zip(self.__slots__, (twice_j1, twice_m1, twice_j2, twice_m2, twice_J, twice_M)):
             object.__setattr__(self, name, value)
 
 
 def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     """<j1 m1 j2 m2 | J M> for a valid query with M > 0, or M = 0 and m1 >= 0."""
-    if tM != tm1 + tm2:
-        return 0.0
-    if not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
-        return 0.0
-    if (tj1 + tj2 + tJ) % 2 != 0:
+    if tM != tm1 + tm2 or not abs(tj1 - tj2) <= tJ <= tj1 + tj2:
         return 0.0
 
     # Racah's sum in binomial form: with a = j1+j2-J, b = j1-m1, c = j2+m2,
@@ -271,9 +285,8 @@ def clebsch_gordan(q: CGQuery) -> float:
     Values are cached in _cg_cache, one entry per +-m pair under the member
     with M > 0, or M = 0 and m1 >= 0; the other member is the (-1)^(j1+j2-J)
     phase times it, and a zero keeps its + sign.  The cache is cleared whole
-    when it reaches MAX_CG_CACHE entries.  A query is validated when it
-    misses the cache, and an invalid one, never stored, raises
-    InvalidQueryError on every call, naming the m it was given.
+    when it reaches MAX_CG_CACHE entries.  It raises nothing itself: CGQuery
+    refuses an invalid query where it is built.
     """
     tj1, tm1, tj2, tm2, tJ, tM = q.twice_j1, q.twice_m1, q.twice_j2, q.twice_m2, q.twice_J, q.twice_M
     # <j1 -m1 j2 -m2 | J -M> = (-1)^(j1+j2-J) <j1 m1 j2 m2 | J M>, the same
@@ -282,15 +295,6 @@ def clebsch_gordan(q: CGQuery) -> float:
     key = (tj1, -tm1, tj2, -tm2, tJ, -tM) if flip else (tj1, tm1, tj2, tm2, tJ, tM)
     value = _cg_cache.get(key)
     if value is None:
-        # validate the query as given, so that the message names the caller's m;
-        # the checks are symmetric in m -> -m, so its partner is invalid too
-        for tj, tm, name in ((tj1, tm1, "j1/m1"), (tj2, tm2, "j2/m2"), (tJ, tM, "J/M")):
-            if tj < 0:
-                raise InvalidQueryError(f"{name}: negative spin 2j={tj}")
-            if abs(tm) > tj:
-                raise InvalidQueryError(f"{name}: |m| > j (2j={tj}, 2m={tm})")
-            if (tm - tj) % 2 != 0:
-                raise InvalidQueryError(f"{name}: parity mismatch (2j={tj}, 2m={tm})")
         if len(_cg_cache) >= MAX_CG_CACHE:
             _cg_cache.clear()
         value = _cg_cache[key] = _cg_value(*key)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from ._value import _assemble, _document, _preorder, _Value
+from ._value import _assemble, _document, _preorder, _shown, _Value
 from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
 
@@ -34,9 +34,14 @@ class ComponentSpec(_Value):
     __slots__ = ("name", "irrep", "subcomponents")
 
     def __init__(self, name: str, irrep: IrrepLabel, subcomponents: tuple[ComponentSpec, ...] = ()) -> None:
+        try:
+            subcomponents = tuple(subcomponents)
+        except TypeError:  # not an iterable
+            raise ValueError(f"subcomponents must be a sequence of ComponentSpecs, "
+                             f"got {_shown(subcomponents)}") from None
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "irrep", irrep)
-        object.__setattr__(self, "subcomponents", tuple(subcomponents))
+        object.__setattr__(self, "subcomponents", subcomponents)
 
     def __reduce__(self):
         return _assemble, (tuple(_preorder(self, _spec_and_subcomponents)), _component)
@@ -78,8 +83,12 @@ class Organism(_Value):
     __slots__ = ("target_irrep", "components")
 
     def __init__(self, target_irrep: IrrepLabel, components: tuple[ComponentSpec, ...]) -> None:
+        try:
+            components = tuple(components)
+        except TypeError:  # not an iterable
+            raise ValueError(f"components must be a sequence of ComponentSpecs, got {_shown(components)}") from None
         object.__setattr__(self, "target_irrep", target_irrep)
-        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "components", components)
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -100,12 +109,17 @@ class RemovalAction(_Value):
     __slots__ = ("removed_indices",)
 
     def __init__(self, removed_indices: frozenset[int]) -> None:
-        removed_indices = frozenset(removed_indices)
-        if not removed_indices:
+        try:
+            indices = frozenset(removed_indices)
+        except TypeError:  # not an iterable, or an item that cannot be hashed
+            indices = None
+        if indices is None or not all(type(i) is int for i in indices):
+            raise ValueError(f"removed_indices must be a set of ints, got {_shown(removed_indices)}")
+        if not indices:
             raise ValueError("removal action must remove at least one component")
-        if any(i < 0 for i in removed_indices):
+        if any(i < 0 for i in indices):
             raise ValueError("component indices must be non-negative")
-        object.__setattr__(self, "removed_indices", removed_indices)
+        object.__setattr__(self, "removed_indices", indices)
 
 
 class Remainder(namedtuple("Remainder", ("target_irrep", "components", "complete"))):

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from operator import attrgetter
 
 from ._value import _assemble, _document, _preorder, _shown, _Value
-from .rep_theory import check_spin_range
+from .rep_theory import _check_weight, check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
 SU2 = "SU2"
@@ -47,18 +47,8 @@ class SpinWeight(_Value):
     __slots__ = ("twice_j", "twice_m")
 
     def __init__(self, twice_j: int, twice_m: int) -> None:
-        # exact ints only, as in IrrepLabel: a float or bool would pass as an equal label
-        if type(twice_j) is not int:
-            raise ValueError(f"twice_j must be an int, got {_shown(twice_j)}")
-        if type(twice_m) is not int:
-            raise ValueError(f"twice_m must be an int, got {_shown(twice_m)}")
-        if twice_j < 0:
-            raise ValueError(f"twice_j must be >= 0, got {_shown(twice_j)}")
+        _check_weight(twice_j, twice_m, ValueError, "")
         check_spin_range(twice_j)
-        if abs(twice_m) > twice_j:
-            raise ValueError(f"|m| > j for (2j, 2m) = ({twice_j}, {_shown(twice_m)})")
-        if (twice_m - twice_j) % 2 != 0:
-            raise ValueError(f"m and j parity mismatch: (2j, 2m) = ({twice_j}, {twice_m})")
         object.__setattr__(self, "twice_j", twice_j)
         object.__setattr__(self, "twice_m", twice_m)
 
@@ -102,9 +92,13 @@ class HierarchyLevel(_Value):
     __slots__ = ("level_index", "group", "basis")
 
     def __init__(self, level_index: int, group: str, basis: tuple[BasisLabel, ...]) -> None:
+        try:
+            basis = tuple(basis)
+        except TypeError:  # not an iterable
+            raise ValueError(f"basis must be a sequence of basis labels, got {_shown(basis)}") from None
         object.__setattr__(self, "level_index", level_index)
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "basis", basis)
 
     # written out: a trees phase compares about 6,000 levels, and _Value.__eq__ takes 8x as long
     def __eq__(self, other: object) -> bool:
@@ -123,6 +117,8 @@ class NodeWave(_Value):
 
     def __init__(self, level: HierarchyLevel, amplitudes: tuple[complex, ...],
                  statistics: str = UNSPECIFIED, quantum_numbers: tuple[int, ...] | None = None) -> None:
+        if level.__class__ is not HierarchyLevel:
+            raise ValueError(f"level must be a HierarchyLevel, got {_shown(level)}")
         try:
             amplitudes = tuple(map(complex, amplitudes))
         except OverflowError:  # an int beyond the float range
@@ -158,8 +154,12 @@ class HierState(_Value):
     __slots__ = ("wave", "children")
 
     def __init__(self, wave: NodeWave, children: tuple[HierState, ...] = ()) -> None:
+        try:
+            children = tuple(children)
+        except TypeError:  # not an iterable
+            raise ValueError(f"children must be a sequence of HierStates, got {_shown(children)}") from None
         object.__setattr__(self, "wave", wave)
-        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "children", children)
 
     def __reduce__(self):
         return _assemble, (tuple(_preorder(self, _wave_and_children)), HierState)

@@ -14,8 +14,8 @@ from hierwave._value import _shown
 from hierwave.complexity import MatrixElementSeries
 from hierwave.dynamics import SimConfig, sim_config_from_obj
 from hierwave.rep_theory import CGQuery, IrrepLabel
-from hierwave.repair_cascade import organism_from_obj
-from hierwave.state_tree import SU2, HierarchyLevel, NodeWave, SpinWeight, state_from_obj
+from hierwave.repair_cascade import ComponentSpec, Organism, RemovalAction, organism_from_obj
+from hierwave.state_tree import SU2, HierarchyLevel, HierState, NodeWave, SpinWeight, state_from_obj
 
 DATA = Path(hierwave.__file__).parent / "data"
 
@@ -74,6 +74,7 @@ def test_object_loaders_raise_only_value_error_on_seeded_mutants(name):
 
 SPINS = (0.5,) * 4
 LEVEL = HierarchyLevel(0, SU2, (SpinWeight(1, 1),))
+WAVE = NodeWave(LEVEL, (1,))
 SIM_FIELDS = {"m0": 1.0, "spins": SPINS, "lambda0": 0.0, "lambda1": 0.0, "k": 0.0, "kappa": 0.0,
               "x_init": (0.0, 0.0), "v_init": (0.0, 0.0), "dt": 0.1, "steps": 10}
 CONSTRUCTORS = {
@@ -81,9 +82,15 @@ CONSTRUCTORS = {
     "SpinWeight-twice_m": lambda v: SpinWeight(2, v),
     "IrrepLabel": IrrepLabel,
     **{f"CGQuery-{i}": lambda v, i=i: CGQuery(*[v if k == i else 1 for k in range(6)]) for i in range(6)},
+    "HierarchyLevel-basis": lambda v: HierarchyLevel(0, SU2, v),
+    "NodeWave-level": lambda v: NodeWave(v, (1,)),
     "NodeWave-amplitudes": lambda v: NodeWave(LEVEL, v),
     "NodeWave-statistics": lambda v: NodeWave(LEVEL, (1,), v),
     "NodeWave-quantum_numbers": lambda v: NodeWave(LEVEL, (1,), quantum_numbers=v),
+    "HierState-children": lambda v: HierState(WAVE, v),
+    "ComponentSpec-subcomponents": lambda v: ComponentSpec("a", IrrepLabel(1), v),
+    "Organism-components": lambda v: Organism(IrrepLabel(0), v),
+    "RemovalAction-removed_indices": RemovalAction,
     **{f"SimConfig-{field}": lambda v, field=field: SimConfig(**{**SIM_FIELDS, field: v}) for field in SIM_FIELDS},
     "MatrixElementSeries-values": lambda v: MatrixElementSeries(v, 0.1),
     "MatrixElementSeries-quantization": lambda v: MatrixElementSeries((1.0, 2.0), v),
@@ -101,11 +108,19 @@ def test_value_constructors_raise_only_value_error_on_junk(name):
             pytest.fail(f"{name}({value_id}) raised {type(exc).__name__}: {_shown(exc)}")
 
 
-# a value of the wrong type for the field: each raised a bare TypeError
+# a value of the wrong type for the field: each raised a bare TypeError, or was kept
+NOT_ITERABLE = ("None", "True", "10**400", "nan")
 WRONG_TYPES = {
+    "HierarchyLevel-basis": NOT_ITERABLE,
+    "NodeWave-level": ("None", "True", "10**400", "empty-list", "deep"),
     "NodeWave-amplitudes": ("None", "True", "10**400", "nan", "deep"),
+    "HierState-children": NOT_ITERABLE,
+    "ComponentSpec-subcomponents": NOT_ITERABLE,
+    "Organism-components": NOT_ITERABLE,
+    "RemovalAction-removed_indices": NOT_ITERABLE + ("{a: 1}", "deep"),
     "MatrixElementSeries-values": ("None", "False", "10**400", "nan", "deep"),
-    "MatrixElementSeries-quantization": ("None", "empty-str", "empty-list", "empty-dict", "[1]", "{a: 1}", "deep"),
+    "MatrixElementSeries-quantization": ("None", "True", "False", "empty-str", "empty-list", "empty-dict", "[1]",
+                                         "{a: 1}", "deep"),
 }
 
 

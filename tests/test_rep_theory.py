@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import math
 import os
 import random
@@ -482,7 +483,7 @@ class TestCachedEntryPoint:
 
     def test_invalid_negative_M_query_names_the_given_m_every_call(self):
         rep_theory._cg_cache.clear()
-        message = re.escape("j1/m1: |m| > j (2j=1, 2m=-3)")
+        message = re.escape("j1/m1: |m| > j for (2j, 2m) = (1, -3)")
         for _ in range(2):
             with pytest.raises(InvalidQueryError, match=message):
                 clebsch_gordan(CGQuery(1, -3, 1, 1, 2, -2))
@@ -514,7 +515,7 @@ class TestCachedEntryPoint:
         monkeypatch.setattr(rep_theory, "MAX_CG_CACHE", 100)
         rep_theory._cg_cache.clear()
         invalid = (1, -3, 1, 1, 2, -2)
-        message = re.escape("j1/m1: |m| > j (2j=1, 2m=-3)")
+        message = re.escape("j1/m1: |m| > j for (2j, 2m) = (1, -3)")
         for q in _table(1, 1):
             clebsch_gordan(CGQuery(*q))
         with pytest.raises(InvalidQueryError, match=message):
@@ -538,12 +539,30 @@ class TestCachedEntryPoint:
             runs.append({q: clebsch_gordan(CGQuery(*q)).hex() for q in order})
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("fields, name", [
-        ((1.0, 1, 1, 1, 2, 2), "twice_j1"),
-        ((True, True, 1, 1, 2, 2), "twice_j1"),
-        ((1.5, 1.5, 1, 1, 2, 2), "twice_j1"),
-        ((1, 1, 1, 1, "2", 2), "twice_J"),
+    @pytest.mark.parametrize("fields, pair", [
+        ((1.0, 1, 1, 1, 2, 2), "j1/m1"),
+        ((True, True, 1, 1, 2, 2), "j1/m1"),
+        ((1.5, 1.5, 1, 1, 2, 2), "j1/m1"),
+        ((1, 1, 1, 1, "2", 2), "J/M"),
     ])
-    def test_non_int_query_rejected(self, fields, name):
-        with pytest.raises(InvalidQueryError, match=f"^{name} must be an int, got "):
+    def test_non_int_query_rejected(self, fields, pair):
+        with pytest.raises(InvalidQueryError, match=f"^{pair}: twice_j must be an int, got "):
             CGQuery(*fields)
+
+    def test_query_shows_a_huge_m_by_its_size(self):
+        with pytest.raises(InvalidQueryError) as caught:
+            CGQuery(1, 10**5000, 1, 1, 2, 2)
+        assert str(caught.value) == "j1/m1: |m| > j for (2j, 2m) = (1, an int of 16610 bits)"
+
+    def test_every_invalid_query_is_refused_where_it_is_built(self):
+        # the rule of SpinWeight, per pair; no clebsch_gordan call is needed to refuse one
+        refused = 0
+        for q in itertools.product(range(-2, 3), repeat=6):
+            pairs = (q[0:2], q[2:4], q[4:6])
+            if all(tj >= 0 and abs(tm) <= tj and (tj - tm) % 2 == 0 for tj, tm in pairs):
+                CGQuery(*q)
+                continue
+            with pytest.raises(InvalidQueryError):
+                CGQuery(*q)
+            refused += 1
+        assert refused == 5**6 - 6**3

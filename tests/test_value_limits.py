@@ -59,7 +59,7 @@ for _ in range(5_000):
     DEEP = [DEEP]
 REJECTED = [
     (lambda: IrrepLabel(HUGE_TEXT), ValueError, "twice_j must be an int, got 'xxx"),
-    (lambda: CGQuery(HUGE_TEXT, 1, 1, 1, 0, 0), InvalidQueryError, "twice_j1 must be an int, got 'xxx"),
+    (lambda: CGQuery(HUGE_TEXT, 1, 1, 1, 0, 0), InvalidQueryError, "j1/m1: twice_j must be an int, got 'xxx"),
     (lambda: MatrixElementSeries((1.0,), -10**5000), ValueError,
      "quantization must be positive and finite, got an int of 16610 bits"),
     (lambda: SimConfig(10**400, SPINS), ValueError, "m0 must lie within the float range, got 1000"),

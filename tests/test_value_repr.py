@@ -50,7 +50,8 @@ def _values(rng):
     yield _state(rng)
     yield Organism(IrrepLabel(rng.randint(0, 4)), [_component(rng) for _ in range(rng.randint(0, 3))])
     yield decompose_product([IrrepLabel(rng.randint(0, 4)) for _ in range(rng.randint(1, 4))])
-    yield CGQuery(*(rng.randint(-4, 4) for _ in range(6)))
+    twice_js = [rng.randint(0, 4) for _ in range(3)]  # a valid query: each 2m in -2j, -2j + 2, ..., 2j
+    yield CGQuery(*(x for tj in twice_js for x in (tj, rng.randrange(-tj, tj + 1, 2))))
     yield RemovalAction(frozenset(rng.sample(range(10), rng.randint(1, 3))))
     yield SimConfig(rng.uniform(0.5, 2), rng.choices((0.5, -0.5), k=4), k=rng.choice(FLOATS[:5]),
                     x_init=(rng.random(), -0.0), steps=rng.randint(0, 50))
