@@ -1,7 +1,9 @@
-"""The base of hierwave's immutable value types, the bounded repr of error
-messages, the one error contract of the document loaders, and the pre-order
-walk of trees.  This module imports nothing from hierwave, so simulate and
-classify use it without rep_theory or state_tree."""
+"""The base of hierwave's immutable value types, the input rules they share
+(the bounded repr of error messages, the check of a field that holds a
+sequence of values, and what counts as an integer in a document), the one
+error contract of the document loaders, and the pre-order walk of trees.
+This module imports nothing from hierwave, so simulate and classify use it
+without rep_theory or state_tree."""
 
 # The most characters of a rejected value's repr that an error message shows:
 # a message stays well below cli.MAX_ERROR_CHARS, whatever the value's size.
@@ -20,6 +22,29 @@ def _shown(value) -> str:
             return f"an int of {value.bit_length()} bits"
         return f"a value of type {type(value).__name__} that repr() cannot show"
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
+def _members(value, kinds: tuple, field: str, what: str) -> tuple:
+    """tuple(value) when value is an iterable whose every item's class is one
+    of kinds (exact classes, so a bool is not an int), else a ValueError
+    "{field} must be {what}, got ..." showing value."""
+    try:
+        items = tuple(value)
+    except TypeError:  # not an iterable
+        items = None
+    if items is None or not all(item.__class__ in kinds for item in items):
+        raise ValueError(f"{field} must be {what}, got {_shown(value)}")
+    return items
+
+
+def _as_integer(value) -> int | None:
+    """value as an int if it is an exact int, as a JSON integer is, or an
+    integral float, else None: a bool or another int subclass is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
 
 
 def _document(what: str, lacks: str, build, arg):

@@ -17,8 +17,6 @@ import sys
 
 # the most values one --sweep may take: each is a full run and a CSV file
 MAX_SWEEP_COUNT = 1000
-# the most characters of a token that fails to parse shown in its error
-_SHOWN = 40
 # the most characters of a domain error's message printed to stderr
 MAX_ERROR_CHARS = 1000
 
@@ -147,13 +145,14 @@ def cmd_repair(args) -> int:
 
 def _parse(kind, tok: str, what: str):
     """tok read as kind, int or float; a ValueError names what was read and
-    shows at most _SHOWN characters of tok."""
+    shows tok as every error shows a rejected value (_value._shown)."""
     try:
         return kind(tok)
     except ValueError:
-        shown = repr(tok) if len(tok) <= _SHOWN else f"{tok[:_SHOWN]!r}... ({len(tok)} characters)"
+        from ._value import _shown
+
         noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{what} must be {noun}, got {shown}") from None
+        raise ValueError(f"{what} must be {noun}, got {_shown(tok)}") from None
 
 
 def _parse_sweep(spec: str):

@@ -44,7 +44,7 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from ._value import _document, _shown, _Value
+from ._value import _as_integer, _document, _shown, _Value
 
 
 class NonpositiveMassError(ValueError):
@@ -115,10 +115,9 @@ class SimConfig(_Value):
                     raise ValueError(f"{name} must be finite, got {_shown(x)}")
             checked.append(floats if many else floats[0])
         m0, spins, lambda0, lambda1, k, kappa, x_init, v_init, dt = checked
-        if isinstance(steps, float) and steps.is_integer():
-            steps = int(steps)
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ValueError(f"steps must be an integer, got {_shown(steps)}")
+        steps, given = _as_integer(steps), steps
+        if steps is None:
+            raise ValueError(f"steps must be an integer, got {_shown(given)}")
         if m0 <= 0:
             raise ValueError("m0 must be positive")
         if dt <= 0:

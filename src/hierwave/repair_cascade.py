@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from ._value import _assemble, _document, _preorder, _shown, _Value
+from ._value import _assemble, _document, _members, _preorder, _shown, _Value
 from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 
 
@@ -34,11 +34,11 @@ class ComponentSpec(_Value):
     __slots__ = ("name", "irrep", "subcomponents")
 
     def __init__(self, name: str, irrep: IrrepLabel, subcomponents: tuple[ComponentSpec, ...] = ()) -> None:
-        try:
-            subcomponents = tuple(subcomponents)
-        except TypeError:  # not an iterable
-            raise ValueError(f"subcomponents must be a sequence of ComponentSpecs, "
-                             f"got {_shown(subcomponents)}") from None
+        if name.__class__ is not str:
+            raise ValueError(f"name must be a str, got {_shown(name)}")
+        if irrep.__class__ is not IrrepLabel:
+            raise ValueError(f"irrep must be an IrrepLabel, got {_shown(irrep)}")
+        subcomponents = _members(subcomponents, (ComponentSpec,), "subcomponents", "a sequence of ComponentSpecs")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "irrep", irrep)
         object.__setattr__(self, "subcomponents", subcomponents)
@@ -83,10 +83,9 @@ class Organism(_Value):
     __slots__ = ("target_irrep", "components")
 
     def __init__(self, target_irrep: IrrepLabel, components: tuple[ComponentSpec, ...]) -> None:
-        try:
-            components = tuple(components)
-        except TypeError:  # not an iterable
-            raise ValueError(f"components must be a sequence of ComponentSpecs, got {_shown(components)}") from None
+        if target_irrep.__class__ is not IrrepLabel:
+            raise ValueError(f"target_irrep must be an IrrepLabel, got {_shown(target_irrep)}")
+        components = _members(components, (ComponentSpec,), "components", "a sequence of ComponentSpecs")
         object.__setattr__(self, "target_irrep", target_irrep)
         object.__setattr__(self, "components", components)
 
@@ -109,12 +108,7 @@ class RemovalAction(_Value):
     __slots__ = ("removed_indices",)
 
     def __init__(self, removed_indices: frozenset[int]) -> None:
-        try:
-            indices = frozenset(removed_indices)
-        except TypeError:  # not an iterable, or an item that cannot be hashed
-            indices = None
-        if indices is None or not all(type(i) is int for i in indices):
-            raise ValueError(f"removed_indices must be a set of ints, got {_shown(removed_indices)}")
+        indices = frozenset(_members(removed_indices, (int,), "removed_indices", "a set of ints"))
         if not indices:
             raise ValueError("removal action must remove at least one component")
         if any(i < 0 for i in indices):
@@ -197,8 +191,8 @@ def ionize_recombine(
         if len(matches) != 1:
             raise ValueError("no unique component named 'electron'; pass electron_index")
         electron_index = matches[0]
+    broken = amputate(atom, RemovalAction(frozenset({electron_index})))  # first, as it checks the index
     removed = atom.components[electron_index]
-    broken = amputate(atom, RemovalAction(frozenset({electron_index})))
     fresh = ComponentSpec(
         name=f"{removed.name}'",
         irrep=replacement_irrep if replacement_irrep is not None else removed.irrep,

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import attrgetter
 
-from ._value import _assemble, _document, _preorder, _shown, _Value
+from ._value import _as_integer, _assemble, _document, _members, _preorder, _shown, _Value
 from .rep_theory import _check_weight, check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
@@ -79,6 +79,8 @@ class Named(_Value):
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
+        if text.__class__ is not str:
+            raise ValueError(f"text must be a str, got {_shown(text)}")
         object.__setattr__(self, "text", text)
 
 
@@ -92,10 +94,11 @@ class HierarchyLevel(_Value):
     __slots__ = ("level_index", "group", "basis")
 
     def __init__(self, level_index: int, group: str, basis: tuple[BasisLabel, ...]) -> None:
-        try:
-            basis = tuple(basis)
-        except TypeError:  # not an iterable
-            raise ValueError(f"basis must be a sequence of basis labels, got {_shown(basis)}") from None
+        if level_index.__class__ is not int:
+            raise ValueError(f"level_index must be an int, got {_shown(level_index)}")
+        if group.__class__ is not str:
+            raise ValueError(f"group must be a str, got {_shown(group)}")
+        basis = _members(basis, (SpinWeight, Point, Named), "basis", "a sequence of basis labels")
         object.__setattr__(self, "level_index", level_index)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", basis)
@@ -154,6 +157,11 @@ class HierState(_Value):
     __slots__ = ("wave", "children")
 
     def __init__(self, wave: NodeWave, children: tuple[HierState, ...] = ()) -> None:
+        if wave.__class__ is not NodeWave:
+            raise ValueError(f"wave must be a NodeWave, got {_shown(wave)}")
+        # written out with _members' message, and blind to each child's class: every tree
+        # operation builds one HierState per node, and _members here took the trees
+        # workload's wall_s from 0.254 to 0.271 s (medians of 8 alternating pairs)
         try:
             children = tuple(children)
         except TypeError:  # not an iterable
@@ -276,19 +284,7 @@ def _label_to_obj(label: BasisLabel) -> dict:
         return {"type": "spin", "twice_j": label.twice_j, "twice_m": label.twice_m}
     if isinstance(label, Point):
         return {"type": "point", "index": label.index}
-    if isinstance(label, Named):
-        return {"type": "named", "text": label.text}
-    raise TypeError(f"unknown basis label {label!r}")
-
-
-def _as_integer(value) -> int | None:
-    """value as an int if it is an exact int, as a JSON integer is, or an
-    integral float, else None: a bool or another int subclass is refused."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
+    return {"type": "named", "text": label.text}
 
 
 def _integer(obj: dict, key: str) -> int:
@@ -379,10 +375,16 @@ def state_from_obj(obj: dict) -> HierState:
 
 
 def state_to_json(psi: HierState) -> str:
+    """The JSON text of a state; one with a non-finite amplitude, which JSON
+    cannot hold and state_from_json refuses, raises ValueError."""
     try:
-        return json.dumps(state_to_obj(psi), check_circular=False)  # state_to_obj builds no cycle
+        return json.dumps(state_to_obj(psi), check_circular=False, allow_nan=False)  # state_to_obj builds no cycle
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
+    except ValueError:  # json's own text for a non-finite float differs between Python versions
+        if all(cmath.isfinite(a) for w, _ in _preorder(psi, _wave_and_children) for a in w.amplitudes):
+            raise  # an int too long for str(), which json refuses too
+        raise ValueError("amplitudes must be finite to be saved: JSON has no NaN or infinity") from None
 
 
 def state_from_json(text: str) -> HierState:

@@ -747,7 +747,7 @@ def test_subcommand_imports_only_its_modules(argv, modules, tmp_path):
 
 
 _LONG = "9" * 5000  # beyond CPython's 4,300-digit limit for int()
-_SHOWN = "'" + "9" * 40 + "'... (5000 characters)"
+_SHOWN = "'" + "9" * 499 + "... (5002 characters)"  # the first 500 characters of its repr
 
 
 @pytest.mark.parametrize("remove, message", [
@@ -767,7 +767,8 @@ def test_bad_remove_index_names_the_option(remove, message, capsys):
     ("0::2", "--sweep stop must be a number, got ''"),
     ("0:1:2.5", "--sweep count must be an integer, got '2.5'"),
     (f"0:1:{_LONG}", f"--sweep count must be an integer, got {_SHOWN}"),
-    (f"0:1:{'x' * 41}", f"--sweep count must be an integer, got '{'x' * 40}'... (41 characters)"),
+    (f"0:1:{'x' * 498}", f"--sweep count must be an integer, got '{'x' * 498}'"),
+    (f"0:1:{'x' * 499}", f"--sweep count must be an integer, got '{'x' * 499}... (501 characters)"),
 ])
 def test_bad_sweep_value_names_the_option(grid, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "run", _fail)

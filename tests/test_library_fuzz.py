@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import hierwave
-from hierwave._value import _shown
+from hierwave._value import _members, _shown
 from hierwave.complexity import MatrixElementSeries
 from hierwave.dynamics import SimConfig, sim_config_from_obj
 from hierwave.rep_theory import CGQuery, IrrepLabel
 from hierwave.repair_cascade import ComponentSpec, Organism, RemovalAction, organism_from_obj
-from hierwave.state_tree import SU2, HierarchyLevel, HierState, NodeWave, SpinWeight, state_from_obj
+from hierwave.state_tree import SU2, HierarchyLevel, HierState, Named, NodeWave, SpinWeight, state_from_obj
 
 DATA = Path(hierwave.__file__).parent / "data"
 
@@ -82,13 +82,20 @@ CONSTRUCTORS = {
     "SpinWeight-twice_m": lambda v: SpinWeight(2, v),
     "IrrepLabel": IrrepLabel,
     **{f"CGQuery-{i}": lambda v, i=i: CGQuery(*[v if k == i else 1 for k in range(6)]) for i in range(6)},
+    "HierarchyLevel-level_index": lambda v: HierarchyLevel(v, SU2, ()),
+    "HierarchyLevel-group": lambda v: HierarchyLevel(0, v, ()),
     "HierarchyLevel-basis": lambda v: HierarchyLevel(0, SU2, v),
+    "Named-text": Named,
     "NodeWave-level": lambda v: NodeWave(v, (1,)),
     "NodeWave-amplitudes": lambda v: NodeWave(LEVEL, v),
     "NodeWave-statistics": lambda v: NodeWave(LEVEL, (1,), v),
     "NodeWave-quantum_numbers": lambda v: NodeWave(LEVEL, (1,), quantum_numbers=v),
+    "HierState-wave": HierState,
     "HierState-children": lambda v: HierState(WAVE, v),
+    "ComponentSpec-name": lambda v: ComponentSpec(v, IrrepLabel(1)),
+    "ComponentSpec-irrep": lambda v: ComponentSpec("a", v),
     "ComponentSpec-subcomponents": lambda v: ComponentSpec("a", IrrepLabel(1), v),
+    "Organism-target_irrep": lambda v: Organism(v, ()),
     "Organism-components": lambda v: Organism(IrrepLabel(0), v),
     "RemovalAction-removed_indices": RemovalAction,
     **{f"SimConfig-{field}": lambda v, field=field: SimConfig(**{**SIM_FIELDS, field: v}) for field in SIM_FIELDS},
@@ -108,15 +115,25 @@ def test_value_constructors_raise_only_value_error_on_junk(name):
             pytest.fail(f"{name}({value_id}) raised {type(exc).__name__}: {_shown(exc)}")
 
 
-# a value of the wrong type for the field: each raised a bare TypeError, or was kept
+# a value of the wrong type for the field, or a container holding one: each
+# raised a bare TypeError, or was kept
 NOT_ITERABLE = ("None", "True", "10**400", "nan")
+NOT_ONE = ("None", "True", "10**400", "empty-list", "deep")  # for a field that holds one str or value object
+WRONG_MEMBERS = ("[1]", "{a: 1}", "deep")
 WRONG_TYPES = {
-    "HierarchyLevel-basis": NOT_ITERABLE,
-    "NodeWave-level": ("None", "True", "10**400", "empty-list", "deep"),
+    "HierarchyLevel-level_index": ("None", "True", "nan", "empty-str", "deep"),
+    "HierarchyLevel-group": NOT_ONE,
+    "HierarchyLevel-basis": NOT_ITERABLE + WRONG_MEMBERS,
+    "Named-text": NOT_ONE,
+    "NodeWave-level": NOT_ONE,
     "NodeWave-amplitudes": ("None", "True", "10**400", "nan", "deep"),
+    "HierState-wave": NOT_ONE,
     "HierState-children": NOT_ITERABLE,
-    "ComponentSpec-subcomponents": NOT_ITERABLE,
-    "Organism-components": NOT_ITERABLE,
+    "ComponentSpec-name": NOT_ONE,
+    "ComponentSpec-irrep": NOT_ONE,
+    "ComponentSpec-subcomponents": NOT_ITERABLE + WRONG_MEMBERS,
+    "Organism-target_irrep": NOT_ONE,
+    "Organism-components": NOT_ITERABLE + WRONG_MEMBERS,
     "RemovalAction-removed_indices": NOT_ITERABLE + ("{a: 1}", "deep"),
     "MatrixElementSeries-values": ("None", "False", "10**400", "nan", "deep"),
     "MatrixElementSeries-quantization": ("None", "True", "False", "empty-str", "empty-list", "empty-dict", "[1]",
@@ -132,3 +149,13 @@ def test_wrong_type_is_named_with_its_shown_value(name, value_id):
     field = name.split("-")[1]
     message = str(caught.value)
     assert message.startswith(f"{field} must be ") and message.endswith(f", got {_shown(value)}"), message
+
+
+@pytest.mark.parametrize("value_id", NOT_ITERABLE)
+def test_children_check_written_out_in_hier_state_matches_members(value_id):
+    value = JUNK[JUNK_IDS.index(value_id)]
+    with pytest.raises(ValueError) as expected:
+        _members(value, (HierState,), "children", "a sequence of HierStates")
+    with pytest.raises(ValueError) as caught:
+        HierState(WAVE, value)
+    assert str(caught.value) == str(expected.value)

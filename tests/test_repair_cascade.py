@@ -228,6 +228,10 @@ class TestIonizeRecombine:
         intact_complete = product.multiplicity(org.target_irrep) >= 1
         assert restored.complete == intact_complete
 
+    def test_electron_index_out_of_range_is_named(self):
+        with pytest.raises(ValueError, match="^removal index out of range$"):
+            ionize_recombine(self.atom(), electron_index=5)
+
 
 class TestScenarioFiles:
     def test_round_trip(self):

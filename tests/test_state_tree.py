@@ -352,6 +352,22 @@ class TestSerialization:
     def test_json_is_compact(self):
         assert "\n" not in state_to_json(chain_state(5))
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
+    def test_save_non_finite_amplitude_refused_and_keeps_existing_file(self, z, tmp_path):
+        # load_state refuses such a file, so save_state refuses to write it
+        path = tmp_path / "state.json"
+        path.write_text("previous contents")
+        psi = HierState(leaf(0, (1.0,)).wave, (leaf(1, (0.5, z)),))
+        with pytest.raises(ValueError) as caught:
+            save_state(psi, str(path))
+        assert str(caught.value) == "amplitudes must be finite to be saved: JSON has no NaN or infinity"
+        assert path.read_text() == "previous contents"
+
+    def test_save_int_too_long_for_str_keeps_json_error(self):
+        psi = HierState(NodeWave(HierarchyLevel(0, TRANSLATION_1D, (Point(10**5000),)), (1.0,)))
+        with pytest.raises(ValueError, match="integer string conversion"):
+            state_to_json(psi)
+
 
 class TestDepth:
     def test_in_memory_operations_on_depth_ten_thousand_chain(self):
