@@ -5,6 +5,8 @@ error contract of the document loaders, and the pre-order walk of trees.
 This module imports nothing from hierwave, so simulate and classify use it
 without rep_theory or state_tree."""
 
+from operator import attrgetter
+
 # The most characters of a rejected value's repr that an error message shows:
 # a message stays well below cli.MAX_ERROR_CHARS, whatever the value's size.
 _SHOWN = 500
@@ -27,13 +29,16 @@ def _shown(value) -> str:
 def _members(value, kinds: tuple, field: str, what: str) -> tuple:
     """tuple(value) when value is an iterable whose every item's class is one
     of kinds (exact classes, so a bool is not an int), else a ValueError
-    "{field} must be {what}, got ..." showing value."""
+    "{field} must be {what}, got ..." showing value.  The items are checked
+    by a plain loop: every tree operation builds one HierState per node, and
+    on a tuple of 0-2 items a generator costs three to four times as much."""
     try:
-        items = tuple(value)
-    except TypeError:  # not an iterable
-        items = None
-    if items is None or not all(item.__class__ in kinds for item in items):
-        raise ValueError(f"{field} must be {what}, got {_shown(value)}")
+        items = tuple(value)  # a TypeError if value is not an iterable
+        for item in items:
+            if item.__class__ not in kinds:
+                raise TypeError
+    except TypeError:
+        raise ValueError(f"{field} must be {what}, got {_shown(value)}") from None
     return items
 
 
@@ -90,21 +95,29 @@ class _Value:
     """Base of hierwave's immutable value types.  A subclass names its fields in
     __slots__, in constructor order, and sets them once in __init__ through
     object.__setattr__.  Equality (true only within one class), hash, copy
-    and pickle all go through __reduce__: by default the class and its field
-    tuple, so that copy and pickle rebuild a value through the validating
-    constructor; a tree overrides it with _assemble and its flat pre-order
-    sequence, so that none of these recurse.  The repr is the class name and
-    each field=value in order; a field can be neither assigned nor deleted."""
+    and pickle all go through one per-class key, _key(value): by default the
+    field tuple, so that a value hashes as its field tuple does and copy and
+    pickle rebuild it from its class and that tuple through the validating
+    constructor.  A tree defines its own _key, its flat pre-order sequence,
+    and a __reduce__ that rebuilds it from that sequence with _assemble, so
+    that none of these recurse.  The repr is the class name and each
+    field=value in order; a field can be neither assigned nor deleted."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_key" not in cls.__dict__:
+            fields = attrgetter(*cls.__slots__)  # one field gives its bare value
+            cls._key = fields if len(cls.__slots__) > 1 else lambda value: (fields(value),)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.__reduce__() == other.__reduce__()
+        key = self.__class__._key
+        return self is other or key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self.__reduce__()[1])
+        return hash(self.__class__._key(self))
 
     def __repr__(self) -> str:
         """The text a frozen dataclass would show, built from an explicit
@@ -140,4 +153,4 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, self.__class__._key(self)

@@ -254,9 +254,10 @@ def cmd_info(args) -> int:
     from . import state_tree
 
     psi = state_tree.load_state(args.state)
-    nodes = list(state_tree.iter_nodes(psi))
-    print(f"nodes: {len(nodes)}")
-    for path, node in nodes:
+    # the count from a walk of its own, then each node as the walk reaches it:
+    # a depth-d chain's paths take O(d^2) characters, so none is held
+    print(f"nodes: {sum(1 for _ in state_tree.iter_nodes(psi))}")
+    for path, node in state_tree.iter_nodes(psi):
         lvl = node.wave.level
         print(f"{path}: level {lvl.level_index} group {lvl.group} "
               f"basis {len(lvl.basis)} children {len(node.children)}")

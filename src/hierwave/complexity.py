@@ -163,7 +163,11 @@ def raw_bits(symbols: Sequence[int]) -> int:
 def classify(series: MatrixElementSeries, threshold: float = DEFAULT_THRESHOLD) -> ComplexityReport:
     """Compare compressed vs raw size; SeriesLike iff the ratio reaches the
     threshold, RuleLike otherwise."""
-    if not 0.0 < threshold < 1.0:
+    try:
+        inside = 0.0 < threshold < 1.0
+    except TypeError:  # not comparable with floats
+        raise ValueError(f"threshold must be a number, got {_shown(threshold)}") from None
+    if not inside:
         raise ValueError("threshold must lie in (0, 1)")
     symbols = symbolize(series)
     compressed = description_length(symbols)

@@ -15,6 +15,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
+from ._value import _shown
 from .rep_theory import IrrepLabel, decompose_product
 from .state_tree import (
     FERMION,
@@ -105,6 +106,8 @@ def pauli_check(psi: HierState, scope: int = 1) -> list[PauliViolation]:
     direct siblings only, 2 compares all grandchildren of one node, etc.
     Components of different systems are never compared.
     """
+    if scope.__class__ is not int:
+        raise ValueError(f"scope must be an int, got {_shown(scope)}")
     if scope < 1:
         raise ValueError("scope must be >= 1")
     scope = min(scope, sys.maxsize)  # rsplit takes no more; no tree is that deep

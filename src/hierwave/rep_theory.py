@@ -124,15 +124,6 @@ class IrrepLabel(_Value):
             raise ValueError(f"twice_j must be >= 0, got {_shown(twice_j)}")
         object.__setattr__(self, "twice_j", twice_j)
 
-    # written out: a trees or coupling phase compares about 2,000 labels, and _Value.__eq__ takes 12x as long
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.twice_j == other.twice_j
-
-    def __hash__(self) -> int:
-        return hash((self.twice_j,))
-
     @property
     def dim(self) -> int:
         return self.twice_j + 1

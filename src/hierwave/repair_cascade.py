@@ -27,9 +27,10 @@ class EmptyRemainderError(ValueError):
 class ComponentSpec(_Value):
     """A component with its irrep and its subcomponents one level down.
 
-    Equality, hash, copy and pickle go through the pre-order ((name, irrep),
-    subcomponent count) sequence, which fixes the tree, so none of them
-    recurse and depth is unbounded."""
+    Its key, which equality and hash read, is the pre-order ((name, irrep),
+    subcomponent count) sequence, which fixes the tree, and copy and pickle
+    rebuild it from that sequence, so none of them recurse and depth is
+    unbounded."""
 
     __slots__ = ("name", "irrep", "subcomponents")
 
@@ -43,8 +44,11 @@ class ComponentSpec(_Value):
         object.__setattr__(self, "irrep", irrep)
         object.__setattr__(self, "subcomponents", subcomponents)
 
+    def _key(self) -> tuple:
+        return tuple(_preorder(self, _spec_and_subcomponents))
+
     def __reduce__(self):
-        return _assemble, (tuple(_preorder(self, _spec_and_subcomponents)), _component)
+        return _assemble, (self._key(), _component)
 
     def validate(self) -> list[str]:
         """A component must be buildable from its own parts: its irrep must
@@ -155,6 +159,8 @@ def repair(remainder: Remainder, max_depth: int) -> CascadeResult:
     The cascade stops early when no component has subcomponents.
     Cost counts subcomponents materialized across all descents.
     """
+    if max_depth.__class__ is not int:
+        raise ValueError(f"max_depth must be an int, got {_shown(max_depth)}")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     comps = list(remainder.components)

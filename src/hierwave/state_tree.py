@@ -52,15 +52,6 @@ class SpinWeight(_Value):
         object.__setattr__(self, "twice_j", twice_j)
         object.__setattr__(self, "twice_m", twice_m)
 
-    # written out: a trees phase hashes about 12,000 weights, and _Value.__hash__ takes 2.7x as long
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.twice_j == other.twice_j and self.twice_m == other.twice_m
-
-    def __hash__(self) -> int:
-        return hash((self.twice_j, self.twice_m))
-
 
 class Point(_Value):
     """Discrete coordinate label on a spatial-type group."""
@@ -103,15 +94,6 @@ class HierarchyLevel(_Value):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", basis)
 
-    # written out: a trees phase compares about 6,000 levels, and _Value.__eq__ takes 8x as long
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.level_index == other.level_index and self.group == other.group and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.level_index, self.group, self.basis))
-
 
 class NodeWave(_Value):
     """Wave function of a single node: one complex amplitude per basis label."""
@@ -148,29 +130,26 @@ class NodeWave(_Value):
 
 class HierState(_Value):
     """Hierarchical state: this node's wave plus the states of its direct
-    components (children one level deeper).
+    components (children one level deeper), each a HierState.
 
-    Equality, hash, copy and pickle go through the pre-order (wave, child
-    count) sequence, which fixes the tree, so none of them recurse and depth
-    is unbounded."""
+    Its key, which equality and hash read, is the pre-order (wave, child
+    count) sequence, which fixes the tree, and copy and pickle rebuild it from
+    that sequence, so none of them recurse and depth is unbounded."""
 
     __slots__ = ("wave", "children")
 
     def __init__(self, wave: NodeWave, children: tuple[HierState, ...] = ()) -> None:
         if wave.__class__ is not NodeWave:
             raise ValueError(f"wave must be a NodeWave, got {_shown(wave)}")
-        # written out with _members' message, and blind to each child's class: every tree
-        # operation builds one HierState per node, and _members here took the trees
-        # workload's wall_s from 0.254 to 0.271 s (medians of 8 alternating pairs)
-        try:
-            children = tuple(children)
-        except TypeError:  # not an iterable
-            raise ValueError(f"children must be a sequence of HierStates, got {_shown(children)}") from None
+        children = _members(children, (HierState,), "children", "a sequence of HierStates")
         object.__setattr__(self, "wave", wave)
         object.__setattr__(self, "children", children)
 
+    def _key(self) -> tuple:
+        return tuple(_preorder(self, _wave_and_children))
+
     def __reduce__(self):
-        return _assemble, (tuple(_preorder(self, _wave_and_children)), HierState)
+        return _assemble, (self._key(), HierState)
 
 
 # the visit of _preorder for a HierState: its (wave, child count) sequence fixes the tree

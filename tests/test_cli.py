@@ -1,17 +1,19 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from hierwave import cli, complexity, dynamics, rep_theory
+from hierwave import cli, complexity, dynamics, rep_theory, state_tree
 from hierwave.cli import MAX_ERROR_CHARS, MAX_SWEEP_COUNT, main
 
-from helpers import chain_state_json
+from helpers import chain_state, chain_state_json
 
 DATA = resources.files("hierwave") / "data"
 
@@ -338,6 +340,19 @@ class TestInfo:
         assert main(["info", "--state", data_path("two_spin_example.json")]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "nodes: 3"
+
+    def test_deep_chain_holds_no_paths(self, monkeypatch):
+        # the paths of a depth-4,000 chain would take about 16 MB if held
+        psi = chain_state(4_000)
+        monkeypatch.setattr(state_tree, "load_state", lambda path: psi)
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["info", "--state", "chain.json"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("command", ["validate", "pauli", "info"])

@@ -11,10 +11,11 @@ import pytest
 
 import hierwave
 from hierwave._value import _members, _shown
-from hierwave.complexity import MatrixElementSeries
+from hierwave.complexity import MatrixElementSeries, classify
 from hierwave.dynamics import SimConfig, sim_config_from_obj
+from hierwave.physicality import pauli_check
 from hierwave.rep_theory import CGQuery, IrrepLabel
-from hierwave.repair_cascade import ComponentSpec, Organism, RemovalAction, organism_from_obj
+from hierwave.repair_cascade import ComponentSpec, Organism, Remainder, RemovalAction, organism_from_obj, repair
 from hierwave.state_tree import SU2, HierarchyLevel, HierState, Named, NodeWave, SpinWeight, state_from_obj
 
 DATA = Path(hierwave.__file__).parent / "data"
@@ -102,13 +103,20 @@ CONSTRUCTORS = {
     "MatrixElementSeries-values": lambda v: MatrixElementSeries(v, 0.1),
     "MatrixElementSeries-quantization": lambda v: MatrixElementSeries((1.0, 2.0), v),
 }
+# the numeric arguments of the library functions, named as a field is
+ARGUMENTS = {
+    "pauli_check-scope": lambda v: pauli_check(HierState(WAVE), v),
+    "repair-max_depth": lambda v: repair(Remainder(IrrepLabel(0), (ComponentSpec("a", IrrepLabel(1)),), False), v),
+    "classify-threshold": lambda v: classify(MatrixElementSeries((1.0, 2.0), 0.1), v),
+}
+CALLS = {**CONSTRUCTORS, **ARGUMENTS}
 
 
-@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("name", CALLS)
 def test_value_constructors_raise_only_value_error_on_junk(name):
     for value, value_id in zip(JUNK, JUNK_IDS):
         try:
-            CONSTRUCTORS[name](value)
+            CALLS[name](value)
         except ValueError:
             pass
         except Exception as exc:  # noqa: BLE001 -- any other type breaks the contract
@@ -120,6 +128,8 @@ def test_value_constructors_raise_only_value_error_on_junk(name):
 NOT_ITERABLE = ("None", "True", "10**400", "nan")
 NOT_ONE = ("None", "True", "10**400", "empty-list", "deep")  # for a field that holds one str or value object
 WRONG_MEMBERS = ("[1]", "{a: 1}", "deep")
+NOT_AN_INT = tuple(v for v in JUNK_IDS if v != "10**400")  # an int is exact: a bool is not one
+NOT_A_NUMBER = ("None", "empty-str", "empty-list", "empty-dict", "[1]", "{a: 1}", "deep")  # not comparable with floats
 WRONG_TYPES = {
     "HierarchyLevel-level_index": ("None", "True", "nan", "empty-str", "deep"),
     "HierarchyLevel-group": NOT_ONE,
@@ -128,7 +138,7 @@ WRONG_TYPES = {
     "NodeWave-level": NOT_ONE,
     "NodeWave-amplitudes": ("None", "True", "10**400", "nan", "deep"),
     "HierState-wave": NOT_ONE,
-    "HierState-children": NOT_ITERABLE,
+    "HierState-children": NOT_ITERABLE + WRONG_MEMBERS,
     "ComponentSpec-name": NOT_ONE,
     "ComponentSpec-irrep": NOT_ONE,
     "ComponentSpec-subcomponents": NOT_ITERABLE + WRONG_MEMBERS,
@@ -138,6 +148,9 @@ WRONG_TYPES = {
     "MatrixElementSeries-values": ("None", "False", "10**400", "nan", "deep"),
     "MatrixElementSeries-quantization": ("None", "True", "False", "empty-str", "empty-list", "empty-dict", "[1]",
                                          "{a: 1}", "deep"),
+    "pauli_check-scope": NOT_AN_INT,
+    "repair-max_depth": NOT_AN_INT,
+    "classify-threshold": NOT_A_NUMBER,
 }
 
 
@@ -145,7 +158,7 @@ WRONG_TYPES = {
 def test_wrong_type_is_named_with_its_shown_value(name, value_id):
     value = JUNK[JUNK_IDS.index(value_id)]
     with pytest.raises(ValueError) as caught:
-        CONSTRUCTORS[name](value)
+        CALLS[name](value)
     field = name.split("-")[1]
     message = str(caught.value)
     assert message.startswith(f"{field} must be ") and message.endswith(f", got {_shown(value)}"), message

@@ -2,13 +2,16 @@
 dataclasses they replaced: the same repr, equality only within one class, the
 hash of the field tuple, and no field can be assigned or deleted."""
 
+import ast
 import copy
 import itertools
 import pickle
 from dataclasses import make_dataclass
+from pathlib import Path
 
 import pytest
 
+import hierwave
 from hierwave.complexity import MatrixElementSeries
 from hierwave.dynamics import SimConfig
 from hierwave.rep_theory import CGQuery, IrrepLabel, IrrepSum
@@ -106,3 +109,20 @@ def test_equality_is_within_one_class():
 def test_irrep_labels_have_no_order():
     with pytest.raises(TypeError):
         IrrepLabel(1) < IrrepLabel(2)  # noqa: B015
+
+
+def test_only_the_base_defines_equality_and_hash():
+    """Every value type takes __eq__ and __hash__ from _Value through its key;
+    only the two trees define their own key, and the __reduce__ that rebuilds
+    them from it.  A method counts whether written as a def or assigned."""
+    defined = set()
+    for path in Path(hierwave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                names = [item.name] if isinstance(item, ast.FunctionDef) else [
+                    target.id for target in getattr(item, "targets", ()) if isinstance(target, ast.Name)]
+                defined.update((node.name, name) for name in names
+                               if name in ("__eq__", "__hash__", "__reduce__", "_key"))
+    assert defined == {("_Value", "__eq__"), ("_Value", "__hash__"), ("_Value", "__reduce__"),
+                       ("HierState", "_key"), ("HierState", "__reduce__"),
+                       ("ComponentSpec", "_key"), ("ComponentSpec", "__reduce__")}
