@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # argparse exits with an int
     try:
         return args.func(args)
     except BrokenPipeError:  # a closed stdout, not a domain error: run() ends quietly

@@ -11,7 +11,7 @@ from math import factorial, sqrt
 from typing import Sequence
 
 from hierwave._value import _Value
-from hierwave.complexity import _first_appearance, _gamma_len, _header_bits, _zigzag
+from hierwave.complexity import _gamma_len, _header_bits, _zigzag
 from hierwave.dynamics import (
     LegendreSingularityError,
     NonpositiveMassError,
@@ -58,6 +58,11 @@ def from_counts(counts: dict[IrrepLabel, int]) -> IrrepSum:
 def couple_pair(j1: IrrepLabel, j2: IrrepLabel) -> IrrepSum:
     """Coupling series of two irreps: J = |j1-j2| ... j1+j2, each once."""
     return decompose_product([j1, j2])
+
+
+def _first_appearance(symbols: Sequence[int]) -> list[int]:
+    """The coder's dictionary: each distinct symbol once, in order of first appearance."""
+    return list(dict.fromkeys(symbols))
 
 
 def dictionary_header_bits(symbols: Sequence[int]) -> int:

@@ -304,6 +304,23 @@ def classify_names_bad_line():
     assert 'Traceback' not in proc.stderr
 
 
+def classify_stream_matches_symbol_list():
+    # classify codes the quantized values as they stream; description_length and raw_bits
+    # take symbolize's list: both entry points must count the same bits on a long series
+    # whose alphabet runs to hundreds of symbols, with runs, returns and first appearances
+    from hierwave.complexity import MatrixElementSeries, classify, description_length, raw_bits, symbolize
+    r = random.Random(11)
+    values = []
+    while len(values) < 200_000:
+        values += [r.gauss(0.0, 1.0)] * r.choice([1, 1, 1, 2, 7])
+    series = MatrixElementSeries(values, 0.01)
+    symbols = symbolize(series)
+    assert 300 < len(set(symbols)) < 1000, len(set(symbols))
+    report = classify(series)
+    assert report.compressed_bits == description_length(symbols), report
+    assert report.raw_bits == raw_bits(symbols), report
+
+
 def clebsch_gordan_tables():
     # no CLI command reaches clebsch_gordan: build its full (7,7) and (6,4) tables directly,
     # then check the singlet and stretched closed forms at 2j = 1000 bit for bit
@@ -381,6 +398,7 @@ CHECKS = [
     write_uniform_series,
     cli_classify_uniform,
     classify_names_bad_line,
+    classify_stream_matches_symbol_list,
     clebsch_gordan_tables,
     cg_cache_is_bounded,
     decompose_product_catalan,

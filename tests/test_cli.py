@@ -234,14 +234,18 @@ class TestSimulate:
         assert (tmp_path / "sweep_m0_0.csv").read_text() == header
         assert len((tmp_path / "sweep_m0_1.csv").read_text().splitlines()) == 12
 
-    def test_fine_sweep_writes_one_file_per_value(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid, values, names", [
+        ("1:1.000001:3", ["1", "1.0000005000000001", "1.0000009999999999"],
+         ["sweep_m0_1.csv", "sweep_m0_1.0000005.csv", "sweep_m0_1.000001.csv"]),
+        ("1:1:1", ["1"], ["sweep_m0_1.csv"]),
+    ], ids=["fine", "single"])
+    def test_sweep_writes_one_file_per_value(self, grid, values, names, tmp_path, capsys):
         prefix = str(tmp_path / "sweep")
         code = main(["simulate", "--config", _harmonic_config(tmp_path), "--out", prefix,
-                     "--sweep", "m0=1:1.000001:3"])
+                     "--sweep", f"m0={grid}"])
         assert code == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["1", "1.0000005000000001", "1.0000009999999999"]
-        names = ["sweep_m0_1.csv", "sweep_m0_1.0000005.csv", "sweep_m0_1.000001.csv"]
+        assert [row.split(",")[0] for row in rows] == values
         assert sorted(path.name for path in tmp_path.glob("sweep_*")) == sorted(names)
         for name in names:
             assert len((tmp_path / name).read_text().splitlines()) == 12

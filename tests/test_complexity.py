@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -35,8 +36,9 @@ class TestSeriesType:
             MatrixElementSeries(values=(), quantization=0.1)
 
     def test_quantization_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             MatrixElementSeries(values=(1.0,), quantization=0.0)
+        assert str(exc.value) == "quantization must be positive and finite, got 0.0"
 
 
 class TestSymbolize:
@@ -201,9 +203,17 @@ class TestRecencyRank:
 
 
 class TestClassify:
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            classify(series([1.0, 2.0], 0.5), threshold=1.0)
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_domain(self, threshold):
+        with pytest.raises(ValueError) as exc:
+            classify(series([1.0, 2.0], 0.5), threshold=threshold)
+        assert str(exc.value) == "threshold must lie in (0, 1)"
+
+    def test_ratio_at_the_threshold_is_series_like(self):
+        s = series([math.cos(2 * math.pi * k / 256) for k in range(1024)], 0.05)
+        ratio = classify(s).ratio
+        assert 0.0 < ratio < 1.0
+        assert classify(s, threshold=ratio).verdict == Verdict.SERIES_LIKE
 
     def test_cosine_rule_like(self):
         vals = [math.cos(2 * math.pi * 2 * k / 4096) for k in range(4096)]
@@ -223,6 +233,22 @@ class TestClassify:
         vals = [1.0] * 512
         report = classify(series(vals, 0.01), threshold=0.001)
         assert report.verdict == Verdict.SERIES_LIKE
+
+    def test_streamed_series_holds_no_symbol_list(self):
+        # an alphabet of 500 symbols at both lengths: only the series' length differs
+        rng = random.Random(9)
+        peaks = []
+        for n in (10_000, 100_000):
+            s = series([rng.uniform(0.0, 5.0) for _ in range(n)], 0.01)
+            tracemalloc.start()
+            try:
+                report = classify(s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.raw_bits == n * 9
+        # a list of 100,000 symbols alone would take 800 kB
+        assert peaks[1] < peaks[0] + 50_000, peaks
 
     def test_report_consistency(self):
         report = classify(series([1.0, 1.0, 2.0, 2.0], 0.5))
