@@ -1,9 +1,9 @@
 """The base of hierwave's immutable value types, the input rules they share
 (the bounded repr of error messages, the check of a field that holds a
-sequence of values, and what counts as an integer in a document), the one
-error contract of the document loaders, and the pre-order walk of trees.
-This module imports nothing from hierwave, so simulate and classify use it
-without rep_theory or state_tree."""
+sequence of values, what counts as a number, and what counts as an integer
+in a document), the one error contract of the document loaders, and the
+pre-order walk of trees.  This module imports nothing from hierwave, so
+simulate and classify use it without rep_theory or state_tree."""
 
 from operator import attrgetter
 
@@ -42,12 +42,44 @@ def _members(value, kinds: tuple, field: str, what: str) -> tuple:
     return items
 
 
+# A number is an item whose class is exactly one of these, the classes of a
+# JSON number: a bool, an IntEnum member, a Decimal, a Fraction, a numpy
+# scalar or a str is not one, in code as in a file.
+_NUMBER = frozenset((int, float))
+
+
+def _numbers(value, items, number, field: str, what: str) -> tuple:
+    """The items of a field, each converted by number (float or complex), when
+    each is a number (_NUMBER) or of exactly the class number; else a ValueError
+    "{field} must be {what}, got ..." or, for an int beyond the float range,
+    "{field} must lie within the float range, got ...", either showing value,
+    the field's value as given: a field of one number has the items
+    (value,).  Finiteness is left to the caller.  One loop checks the
+    classes, and map() converts only when an item is not of class number
+    already: a series of floats, or the complex amplitudes every tree
+    operation passes to NodeWave, costs the loop alone."""
+    try:
+        items = tuple(items)  # a TypeError if items is not an iterable
+        convert = False
+        for item in items:
+            if item.__class__ is not number:
+                if item.__class__ not in _NUMBER:
+                    raise TypeError
+                convert = True
+        return tuple(map(number, items)) if convert else items
+    except TypeError:
+        raise ValueError(f"{field} must be {what}, got {_shown(value)}") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{field} must lie within the float range, got {_shown(value)}") from None
+
+
 def _as_integer(value) -> int | None:
     """value as an int if it is an exact int, as a JSON integer is, or an
-    integral float, else None: a bool or another int subclass is refused."""
-    if type(value) is int:
+    integral exact float, else None: a subclass of either, a bool included,
+    is refused."""
+    if value.__class__ is int:
         return value
-    if isinstance(value, float) and value.is_integer():
+    if value.__class__ is float and value.is_integer():
         return int(value)
     return None
 

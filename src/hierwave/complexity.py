@@ -43,7 +43,7 @@ from enum import Enum
 from itertools import repeat
 from operator import truediv
 
-from ._value import _shown, _Value
+from ._value import _numbers, _shown, _Value
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -54,18 +54,18 @@ class Verdict(Enum):
 
 
 class MatrixElementSeries(_Value):
-    """A non-empty series of values and the step that quantizes them."""
+    """A non-empty series of values and the step that quantizes them.  Each
+    value is a number (_value._numbers: an exact int or float, so not a str,
+    a bool or a Decimal), stored as a float; the step keeps its own rule, so
+    that an exact Fraction stays exact."""
 
     __slots__ = ("values", "quantization")
 
     def __init__(self, values: tuple[float, ...], quantization: float) -> None:
-        try:
-            values = tuple(map(float, values))
-        except (TypeError, OverflowError):  # not an iterable, an item that is not a number, or an int too large
-            raise ValueError(f"values must be numbers within the float range, got {_shown(values)}") from None
+        values = _numbers(values, values, float, "values", "numbers within the float range")
         if not values:
             raise ValueError("series must be non-empty")
-        if quantization.__class__ is bool:  # as in SimConfig: True is not a step
+        if quantization.__class__ is bool:  # True is not a step; its own rule keeps a Fraction exact
             raise ValueError(f"quantization must be a number, got {_shown(quantization)}")
         try:
             positive = 0 < quantization < math.inf

@@ -44,7 +44,7 @@ import math
 from collections import namedtuple
 from itertools import chain, islice
 
-from ._value import _as_integer, _document, _shown, _Value
+from ._value import _as_integer, _document, _numbers, _shown, _Value
 
 
 class NonpositiveMassError(ValueError):
@@ -66,16 +66,12 @@ class NonFiniteStateError(ValueError):
 MAX_STEPS = 2_000_000
 
 
-def _is_number(value) -> bool:
-    """True for a number as JSON has them: an int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class SimConfig(_Value):
     """A run's parameters, checked and normalised by the constructor, the one
     checker of a config from a file or from code; build a changed config
     through it too, so that the change is checked.  Each float field is a
-    number but not a bool, within the float range and finite, and spins,
+    number (_value._numbers: an exact int or float, so not a bool, a str or
+    an IntEnum member), within the float range and finite, and spins,
     x_init and v_init are lists or tuples of such numbers; the first bad
     field in constructor order is named."""
 
@@ -101,13 +97,9 @@ class SimConfig(_Value):
             ("dt", dt),
         ):
             many = name in ("spins", "x_init", "v_init")
-            items = value if many else (value,)
-            if not (isinstance(items, (list, tuple)) and all(map(_is_number, items))):
-                raise ValueError(f"{name} must be {'a list of numbers' if many else 'a number'}, got {_shown(value)}")
-            try:
-                floats = tuple(map(float, items))
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"{name} must lie within the float range, got {_shown(value)}") from None
+            # a field of many is a list or tuple: a set would reorder its numbers
+            items = (value if isinstance(value, (list, tuple)) else None) if many else (value,)
+            floats = _numbers(value, items, float, name, "a list of numbers" if many else "a number")
             if name in ("x_init", "v_init") and len(floats) != 2:
                 raise ValueError(f"{name} must have two entries, got {len(floats)}")
             for x in floats if name != "spins" else ():  # a spin is checked against +-0.5 below

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import attrgetter
 
-from ._value import _as_integer, _assemble, _document, _members, _preorder, _shown, _Value
+from ._value import _NUMBER, _as_integer, _assemble, _document, _members, _numbers, _preorder, _shown, _Value
 from .rep_theory import _check_weight, check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
@@ -96,7 +96,9 @@ class HierarchyLevel(_Value):
 
 
 class NodeWave(_Value):
-    """Wave function of a single node: one complex amplitude per basis label."""
+    """Wave function of a single node: one complex amplitude per basis label.
+    Each amplitude is given as a number or an exact complex (_value._numbers),
+    so a str, a bool or a Decimal is refused."""
 
     __slots__ = ("level", "amplitudes", "statistics", "quantum_numbers")
 
@@ -104,12 +106,7 @@ class NodeWave(_Value):
                  statistics: str = UNSPECIFIED, quantum_numbers: tuple[int, ...] | None = None) -> None:
         if level.__class__ is not HierarchyLevel:
             raise ValueError(f"level must be a HierarchyLevel, got {_shown(level)}")
-        try:
-            amplitudes = tuple(map(complex, amplitudes))
-        except OverflowError:  # an int beyond the float range
-            raise ValueError(f"amplitudes must lie within the float range, got {_shown(amplitudes)}") from None
-        except TypeError:  # not an iterable, or an item that is not a number
-            raise ValueError(f"amplitudes must be a sequence of numbers, got {_shown(amplitudes)}") from None
+        amplitudes = _numbers(amplitudes, amplitudes, complex, "amplitudes", "a sequence of numbers")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "amplitudes", amplitudes)
         if statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
@@ -274,14 +271,11 @@ def _integer(obj: dict, key: str) -> int:
     return value
 
 
-_JSON_NUMBER = frozenset((int, float))  # exact types: a bool is not a number
-
-
 def _amplitude(pair) -> complex:
-    """An [re, im] pair of finite JSON numbers as a complex."""
+    """An [re, im] pair of finite numbers (_value._NUMBER) as a complex."""
     if isinstance(pair, list) and len(pair) == 2:
         re, im = pair
-        if type(re) in _JSON_NUMBER and type(im) in _JSON_NUMBER:
+        if re.__class__ in _NUMBER and im.__class__ in _NUMBER:
             try:
                 z = complex(re, im)
             except OverflowError:  # an integer beyond the float range

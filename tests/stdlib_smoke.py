@@ -169,6 +169,35 @@ def unsavable_state_is_refused():
     assert Path('nan.json').read_text() == 'previous contents'
 
 
+def number_rule_is_one_rule():
+    # a number is an exact int or float (_value._numbers) in code as in a file: each
+    # number field refuses number text, a bool and an IntEnum member by name, and a
+    # state file loads to the node built in code from the same numbers
+    import enum
+    from hierwave.complexity import MatrixElementSeries
+    from hierwave.dynamics import SimConfig
+    from hierwave.state_tree import SU2, HierarchyLevel, HierState, NodeWave, SpinWeight, load_state
+    one = enum.IntEnum('One', 'ONE').ONE
+    level = HierarchyLevel(0, SU2, (SpinWeight(1, 1), SpinWeight(1, -1)))
+    fields = [
+        ('amplitudes', lambda v: NodeWave(level, (1.0, v))),
+        ('values', lambda v: MatrixElementSeries((1.0, v), 0.1)),
+        ('m0', lambda v: SimConfig(v, (0.5,) * 4)),
+    ]
+    for field, build in fields:
+        for bad in ('1.5', True, one):
+            try:
+                build(bad)
+            except ValueError as exc:
+                assert str(exc).startswith(field + ' must be '), str(exc)
+            else:
+                raise AssertionError(f'{field} took {bad!r}')
+    basis = [{'type': 'spin', 'twice_j': 1, 'twice_m': m} for m in (1, -1)]
+    Path('numbers.json').write_text(json.dumps({'level': 0, 'group': SU2, 'basis': basis,
+                                                'amplitudes': [[1, 0], [0.5, -2]]}))
+    assert load_state('numbers.json') == HierState(NodeWave(level, (1, 0.5 - 2j)))
+
+
 def two_spin_labels_and_cut_errors():
     # the paper's two-spin example on the tree's own labels; a 900-deep m0 and a
     # 4,000-digit sweep count exit 1 with their error text cut at 1,000 characters
@@ -382,6 +411,7 @@ CHECKS = [
     deep_trees_round_trip,
     deep_fields_load_or_raise_value_error,
     unsavable_state_is_refused,
+    number_rule_is_one_rule,
     two_spin_labels_and_cut_errors,
     no_spring_spellings_and_colliding_sweep,
     stiff_simulate_fails_by_name,

@@ -140,6 +140,23 @@ class TestRepair:
         assert result["feasible"] is True
         assert result["levels_descended"] == 1
 
+    def test_default_max_depth_is_three(self, tmp_path, capsys):
+        # x with a chain of four spin-3/2 parts holds the singlet only at depth 4, once
+        # the last part gives way to spins 1 and 1/2; y is removed, so repair must descend
+        part = {"name": "c3", "irrep": "3/2", "subcomponents": [{"name": "a", "irrep": "1"},
+                                                                {"name": "b", "irrep": "1/2"}]}
+        for name in ("c2", "c1", "c0"):
+            part = {"name": name, "irrep": "3/2", "subcomponents": [part]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"target": "0", "components": [{"name": "x", "irrep": "1/2"}, part,
+                                                                  {"name": "y", "irrep": "1"}]}))
+        outs = []
+        for depth in ([], ["--max-depth", "3"], ["--max-depth", "4"]):
+            assert main(["repair", "--scenario", str(path), "--remove", "2", *depth]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "not rebuildable: levels descended 3" in outs[0]
+        assert "rebuilt: levels descended 4" in outs[2]
+
     def test_hydra_infeasible(self, capsys):
         main(["repair", "--scenario", data_path("hydra.json"), "--remove", "0,1", "--max-depth", "3"])
         out = capsys.readouterr().out
@@ -308,6 +325,12 @@ class TestSimulate:
         assert rows[0].startswith("0.001,") and rows[0].endswith(",")
         assert rows[1].startswith("1,") and ",NonFiniteStateError: x1=" in rows[1]
         assert "nan" not in (tmp_path / "sweep_dt_1.csv").read_text()
+
+    def test_sweep_without_out_is_domain_error(self, tmp_path, capsys):
+        assert main(["simulate", "--config", _harmonic_config(tmp_path), "--sweep", "m0=1:2:2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ValueError: sweep mode requires --out as a filename prefix\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_sweep_over_unsweepable_field_is_domain_error(self, tmp_path, capsys):
         prefix = str(tmp_path / "sweep")
@@ -782,6 +805,8 @@ def test_bad_remove_index_names_the_option(remove, message, capsys):
 
 
 @pytest.mark.parametrize("grid, message", [
+    ("0:1", "sweep must look like field=start:stop:count"),
+    ("0:1:0", "sweep count must be >= 1"),
     ("x:1:2", "--sweep start must be a number, got 'x'"),
     ("0::2", "--sweep stop must be a number, got ''"),
     ("0:1:2.5", "--sweep count must be an integer, got '2.5'"),
@@ -884,7 +909,18 @@ def _long_classify_line(tmp_path):
     return argv, f"{path}:1: value {line!r} is not a number"
 
 
-@pytest.mark.parametrize("case", [_long_sweep_count, _long_classify_line])
+def _sweep_field_of(chars):
+    """A command whose message, "cannot sweep over field" and the field's name
+    echoed whole, is chars characters long."""
+    def case(tmp_path):
+        name = "x" * (chars - len("cannot sweep over field ''"))
+        argv = ["simulate", "--config", _harmonic_config(tmp_path), "--out", str(tmp_path / "sweep"),
+                "--sweep", f"{name}=0:1:2"]
+        return argv, f"cannot sweep over field {name!r}"
+    return case
+
+
+@pytest.mark.parametrize("case", [_long_sweep_count, _long_classify_line, _sweep_field_of(1001)])
 def test_long_error_message_is_cut(case, tmp_path, capsys):
     argv, full = case(tmp_path)
     assert main(argv) == 1
@@ -892,6 +928,13 @@ def test_long_error_message_is_cut(case, tmp_path, capsys):
     assert len(full) > MAX_ERROR_CHARS
     assert err == f"error: ValueError: {full[:MAX_ERROR_CHARS]}... ({len(full)} characters)\n"
     assert len(err) < MAX_ERROR_CHARS + 50 and "Traceback" not in err
+
+
+def test_error_message_of_1000_characters_is_printed_whole(tmp_path, capsys):
+    argv, full = _sweep_field_of(1000)(tmp_path)
+    assert main(argv) == 1
+    assert len(full) == MAX_ERROR_CHARS
+    assert capsys.readouterr().err == f"error: ValueError: {full}\n"
 
 
 def test_closed_stdout_exits_quietly():

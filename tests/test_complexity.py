@@ -141,6 +141,10 @@ class TestCoder:
         with pytest.raises(ValueError):
             description_length([])
 
+    def test_raw_bits_of_no_symbols_is_refused(self):
+        with pytest.raises(ValueError, match="^empty symbol sequence$"):
+            raw_bits([])
+
     def test_constant_never_beats_random(self):
         rng = random.Random(42)
         rand_seq = [rng.randrange(64) for _ in range(2048)]
@@ -345,14 +349,12 @@ class TestSymbolizeMapping:
 
 
 class TestSeriesConversion:
-    """MatrixElementSeries converts with map(float, ...): the same values,
-    or the same error text, as the generator it replaced."""
+    """MatrixElementSeries converts its numbers with float(): the same values,
+    or the same error text, as the generator it replaced, which took any
+    value float() takes."""
 
     @pytest.mark.parametrize("values", [
         (1, 2, 3),
-        (True, False, 2),
-        ("1.5", " -2 ", "1e3", "inf"),
-        [0.1, 7, "3"],
         (2**1023,),
     ])
     def test_same_values(self, values):
@@ -361,9 +363,7 @@ class TestSeriesConversion:
         assert got == ref and all(type(v) is float for v in got)
 
     @pytest.mark.parametrize("values", [
-        ("1.5", "abc"),
         (1.0, None),
-        (10**400,),
         (1.0, [2.0]),
         (),
     ])
@@ -377,3 +377,17 @@ class TestSeriesConversion:
             assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
         else:
             assert str(got.value) == f"values must be numbers within the float range, got {values!r}"
+
+    @pytest.mark.parametrize("values, rule", [
+        ((True, False, 2), "be numbers within the float range"),
+        (("1.5", " -2 ", "1e3", "inf"), "be numbers within the float range"),
+        ([0.1, 7, "3"], "be numbers within the float range"),
+        (("1.5", "abc"), "be numbers within the float range"),
+        ((10**400,), "lie within the float range"),
+    ])
+    def test_refused_by_the_shared_number_rule(self, values, rule):
+        # a bool and number text are not numbers (_value._numbers), and an int past
+        # the float range gets the range message every number field shares
+        with pytest.raises(ValueError) as got:
+            MatrixElementSeries(values=values, quantization=0.5)
+        assert str(got.value) == f"values must {rule}, got {values!r}"

@@ -67,6 +67,8 @@ class TestConfig:
         ("lambda0", [1], "lambda0 must be a number, got [1]"),
         ("x_init", None, "x_init must be a list of numbers, got None"),
         ("spins", "abcd", "spins must be a list of numbers, got 'abcd'"),
+        ("steps", -1, "steps must be non-negative"),
+        ("dt", 1e8, "dt * steps must stay below 1e9"),  # 10 steps in code, 10,000 in the file
     ])
     def test_in_memory_config_gets_the_file_message(self, field, value, message):
         # SimConfig is the one checker: a value built in code is refused as in a file

@@ -5,6 +5,8 @@ type and at any nesting depth."""
 import json
 import math
 import random
+from decimal import Decimal
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -160,6 +162,35 @@ def test_wrong_type_is_named_with_its_shown_value(name, value_id):
     with pytest.raises(ValueError) as caught:
         CALLS[name](value)
     field = name.split("-")[1]
+    message = str(caught.value)
+    assert message.startswith(f"{field} must be ") and message.endswith(f", got {_shown(value)}"), message
+
+
+class One(IntEnum):
+    ONE = 1
+
+
+# a value that is not a number (_value._numbers) though float() or complex() takes
+# it, and each number field: its name in messages and its value holding that value
+NOT_NUMBERS = {"str": "1.5", "bool": True, "Decimal": Decimal("1.5"), "IntEnum": One.ONE}
+NUMBER_FIELDS = {
+    "NodeWave-amplitudes": ("amplitudes", lambda v: (1.0, v)),
+    "MatrixElementSeries-values": ("values", lambda v: (1.0, v)),
+    **{f"SimConfig-{field}": (field, lambda v: v) for field in ("m0", "lambda0", "lambda1", "dt")},
+    "SimConfig-k": ("potential_U k", lambda v: v),
+    "SimConfig-kappa": ("potential_Lambda kappa", lambda v: v),
+    "SimConfig-spins": ("spins", lambda v: (v,) + SPINS[1:]),
+    "SimConfig-x_init": ("x_init", lambda v: (v, 0.0)),
+    "SimConfig-v_init": ("v_init", lambda v: (0.0, v)),
+}
+
+
+@pytest.mark.parametrize("name, value_id", [(name, v) for name in NUMBER_FIELDS for v in NOT_NUMBERS])
+def test_number_field_refuses_what_is_not_a_number(name, value_id):
+    field, holding = NUMBER_FIELDS[name]
+    value = holding(NOT_NUMBERS[value_id])
+    with pytest.raises(ValueError) as caught:
+        CALLS[name](value)
     message = str(caught.value)
     assert message.startswith(f"{field} must be ") and message.endswith(f", got {_shown(value)}"), message
 

@@ -153,6 +153,13 @@ class TestCheckNode:
         [(_, report)] = check_node(psi)
         assert report.reasons == (Reason.UNSUPPORTED_GROUP,)
 
+    def test_unsupported_group_of_spin_labels(self):
+        # the group decides, not the labels: SU(2) coupling would find this pair physical
+        level = HierarchyLevel(0, "Flavor", (SpinWeight(1, 1), SpinWeight(1, -1)))
+        child = HierState(NodeWave(HierarchyLevel(1, SU2, (SpinWeight(1, 1),)), (1.0,)))
+        psi = HierState(NodeWave(level, (1.0, 0.0)), (child,))
+        assert check_node(psi) == [("root", PhysicalityReport((Reason.UNSUPPORTED_GROUP,), 0))]
+
     def test_finds_each_dominant_label_once(self, monkeypatch):
         calls = []
 
@@ -266,6 +273,11 @@ class TestPauliCheck:
                 assert found == reference_pauli_check(psi, scope), (seed, scope)
                 total += len(found)
         assert total > 100  # the trees do exercise the exclusion rule
+
+    @pytest.mark.parametrize("scope", [0, -1])
+    def test_scope_below_one_is_refused(self, scope):
+        with pytest.raises(ValueError, match="^scope must be >= 1$"):
+            pauli_check(parent_over([fermion_leaf(1, 1)]), scope)
 
     def test_scope_above_maxsize_is_scope_maxsize(self):
         psi = parent_over([fermion_leaf(1, 1), fermion_leaf(1, 1)])

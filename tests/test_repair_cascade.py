@@ -45,6 +45,9 @@ class TestSpecs:
         bad = Organism(target_irrep=ONE, components=(cell("only", ZERO),))
         assert bad.validate()
 
+    def test_organism_without_components_is_invalid(self):
+        assert Organism(target_irrep=ZERO, components=()).validate() == ["organism has no components"]
+
     def test_validate_matches_recursive_reference(self):
         def spec(rng, name, depth):
             n = rng.randint(0, 3) if depth < 6 else 0
@@ -96,6 +99,10 @@ class TestSpecs:
     def test_removal_must_be_nonempty(self):
         with pytest.raises(ValueError):
             RemovalAction(frozenset())
+
+    def test_removal_indices_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^component indices must be non-negative$"):
+            RemovalAction(frozenset({2, -1}))
 
 
 class TestAmputate:
@@ -211,6 +218,18 @@ class TestIonizeRecombine:
         broken, restored = ionize_recombine(self.atom())
         assert not broken.complete  # 0 not in {1/2}
         assert restored.complete  # 0 in 1/2 x 1/2
+
+    def test_removes_the_component_named_electron(self):
+        # both components are spin 1/2, so only the names show which one went
+        broken, restored = ionize_recombine(self.atom())
+        assert [c.name for c in broken.components] == ["ion_core"]
+        assert [c.name for c in restored.components] == ["ion_core", "electron'"]
+
+    @pytest.mark.parametrize("names", [("ion_core", "proton"), ("electron", "Electron")])
+    def test_no_unique_electron_is_named(self, names):
+        atom = Organism(target_irrep=ZERO, components=tuple(cell(name, HALF) for name in names))
+        with pytest.raises(ValueError, match="^no unique component named 'electron'; pass electron_index$"):
+            ionize_recombine(atom)
 
     def test_wrong_replacement_reported_honestly(self):
         _, restored = ionize_recombine(self.atom(), replacement_irrep=ONE)

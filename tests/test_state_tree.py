@@ -431,6 +431,12 @@ class TestDepth:
         assert path.read_text() == "previous contents"
 
 
+def test_dominant_label_of_no_amplitudes_is_refused():
+    level = HierarchyLevel(0, SU2, (Named("a"),))
+    with pytest.raises(ValueError, match="^node has no amplitudes$"):
+        dominant_label(NodeWave(level, ()))
+
+
 def test_dominant_label_tie_breaks_low_index():
     level = HierarchyLevel(0, SU2, (Named("a"), Named("b")))
     wave = NodeWave(level, (0.5, 0.5))

@@ -126,3 +126,17 @@ def test_only_the_base_defines_equality_and_hash():
     assert defined == {("_Value", "__eq__"), ("_Value", "__hash__"), ("_Value", "__reduce__"),
                        ("HierState", "_key"), ("HierState", "__reduce__"),
                        ("ComponentSpec", "_key"), ("ComponentSpec", "__reduce__")}
+
+
+def test_only_the_value_module_spells_the_number_classes():
+    """What a number is, the classes int and float together, is written in
+    _value alone: no other module holds an (int, float) tuple or set, in an
+    isinstance call or anywhere else, in either order."""
+    spelled = []
+    for path in sorted(Path(hierwave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Tuple, ast.Set)):
+                names = {elt.id for elt in node.elts if isinstance(elt, ast.Name)}
+                if {"int", "float"} <= names:
+                    spelled.append((path.name, node.lineno))
+    assert {name for name, _ in spelled} == {"_value.py"}, spelled
