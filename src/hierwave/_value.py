@@ -101,26 +101,35 @@ def _document(what: str, lacks: str, build, arg):
 def _preorder(root, visit):
     """The pre-order (item, child count) pairs of a tree, which fix it, from an
     explicit stack, so depth is unbounded.  visit(node) returns the node's
-    item, built first, and then its children."""
+    item, built first, and then its children, which go on the stack only if
+    there are any: most nodes of a hierarchy are leaves."""
     stack = [root]
     while stack:
         item, children = visit(stack.pop())
         yield item, len(children)
-        stack.extend(reversed(children))
+        if children:
+            stack.extend(reversed(children))
 
 
 def _assemble(pairs, make):
     """Rebuild a tree from its pre-order pairs as make(item, subtrees), bottom-up
-    as they arrive: a node waits on the stack until its last subtree is made."""
+    as they arrive.  A leaf is made at once, with a fresh empty list; a node
+    with children waits on the stack until its last subtree is made."""
     stack = []  # the open nodes: (item, child count, subtrees made so far)
     for item, n_children in pairs:
-        stack.append((item, n_children, []))
-        while len(stack[-1][2]) == stack[-1][1]:
-            item, _, subtrees = stack.pop()
-            node = make(item, subtrees)
-            if not stack:
-                return node
-            stack[-1][2].append(node)
+        if n_children:
+            stack.append((item, n_children, []))
+            continue
+        node = make(item, [])
+        while stack:  # hand the node up, making each parent it completes
+            parent, wanted, subtrees = stack[-1]
+            subtrees.append(node)
+            if len(subtrees) < wanted:
+                break
+            stack.pop()
+            node = make(parent, subtrees)
+        else:  # the root is made
+            return node
 
 
 class _Value:

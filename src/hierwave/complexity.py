@@ -73,8 +73,10 @@ class MatrixElementSeries(_Value):
             positive = False
         if not positive:
             raise ValueError(f"quantization must be positive and finite, got {_shown(quantization)}")
-        try:  # symbolize divides floats by it, so as a float it must be neither infinite nor 0.0
-            1 / float(quantization)
+        try:  # the division _symbols does: a float must divide by it, and as a float it is neither inf nor 0.0
+            1.0 / quantization
+        except TypeError:  # a number that orders with floats but does not divide one, such as a Decimal
+            raise ValueError(f"quantization must be a number, got {_shown(quantization)}") from None
         except (OverflowError, ZeroDivisionError):  # an int or Fraction too large, or a Fraction too small
             raise ValueError(f"quantization must lie within the float range, got {_shown(quantization)}") from None
         object.__setattr__(self, "values", values)

@@ -14,6 +14,7 @@ import cmath
 import json
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import partial
 from operator import attrgetter
 
 from ._value import _NUMBER, _as_integer, _assemble, _document, _members, _numbers, _preorder, _shown, _Value
@@ -157,14 +158,16 @@ Violation = namedtuple("Violation", ("path", "message"))
 
 def iter_nodes(psi: HierState) -> Iterator[tuple[str, HierState]]:
     """Pre-order traversal yielding (path, node); children are addressed by
-    index, e.g. "root.0.1".  Iterative, so depth is unbounded.  Each path is
-    O(depth) characters long, so keeping the paths of a depth-d chain takes
-    O(d^2) characters."""
+    index, e.g. "root.0.1".  Iterative, so depth is unbounded; the child
+    (path, node) pairs are built only for a node that has children.  Each
+    path is O(depth) characters long, so keeping the paths of a depth-d chain
+    takes O(d^2) characters."""
     stack = [("root", psi)]
     while stack:
         path, node = stack.pop()
         yield path, node
-        stack.extend(reversed([(f"{path}.{i}", c) for i, c in enumerate(node.children)]))
+        if node.children:
+            stack.extend(reversed([(f"{path}.{i}", c) for i, c in enumerate(node.children)]))
 
 
 def dominant_label(wave: NodeWave) -> BasisLabel:
@@ -229,18 +232,15 @@ def validate_tree(psi: HierState, require_normalized: bool = False) -> list[Viol
                     f"amplitude count {len(node.wave.amplitudes)} != basis size {len(level.basis)}",
                 )
             )
-        child_levels = {c.wave.level.level_index for c in node.children}
-        if len(child_levels) > 1:
-            out.append(Violation(path, f"children mix level indices {sorted(child_levels)}"))
-        for i, child in enumerate(node.children):
-            if child.wave.level.level_index <= level.level_index:
-                out.append(
-                    Violation(
-                        f"{path}.{i}",
-                        f"child level index {child.wave.level.level_index} not greater "
-                        f"than parent's {level.level_index}",
-                    )
-                )
+        if node.children:
+            child_levels = {c.wave.level.level_index for c in node.children}
+            if len(child_levels) > 1:
+                out.append(Violation(path, f"children mix level indices {sorted(child_levels)}"))
+            for i, child in enumerate(node.children):
+                index = child.wave.level.level_index
+                if index <= level.level_index:
+                    out.append(Violation(f"{path}.{i}", f"child level index {index} not greater "
+                                                        f"than parent's {level.level_index}"))
         if require_normalized:
             n = node.wave.norm_sq()
             if abs(n - 1.0) > AMPLITUDE_TOL:
@@ -305,12 +305,19 @@ def _label_key(obj: dict, shared: dict) -> tuple:
     return key
 
 
-def _node_obj(wave: NodeWave, children: list[dict]) -> dict:
-    """A node's document: "children" before "quantum_numbers", if it has them."""
+def _node_obj(bases: dict, wave: NodeWave, children: list[dict]) -> dict:
+    """A node's document: "children" before "quantum_numbers", if it has them.
+    bases maps id(level) to the level's basis list, built at the level's first
+    node, so the nodes of one level share that list; the caller keeps the
+    levels alive while bases is in use, so no id is reused."""
+    level = wave.level
+    basis = bases.get(id(level))
+    if basis is None:
+        basis = bases[id(level)] = [_label_to_obj(b) for b in level.basis]
     obj = {
-        "level": wave.level.level_index,
-        "group": wave.level.group,
-        "basis": [_label_to_obj(b) for b in wave.level.basis],
+        "level": level.level_index,
+        "group": level.group,
+        "basis": basis,
         "amplitudes": [[a.real, a.imag] for a in wave.amplitudes],
         "statistics": wave.statistics,
         "children": children,
@@ -321,8 +328,10 @@ def _node_obj(wave: NodeWave, children: list[dict]) -> dict:
 
 
 def state_to_obj(psi: HierState) -> dict:
-    """The document of a state, of any depth."""
-    return _assemble(_preorder(psi, _wave_and_children), _node_obj)
+    """The document of a state, of any depth, to be read or encoded and not
+    edited in place: the nodes of one level share one basis list, built
+    once per call (_node_obj), while psi keeps every level alive."""
+    return _assemble(_preorder(psi, _wave_and_children), partial(_node_obj, {}))
 
 
 def state_from_obj(obj: dict) -> HierState:

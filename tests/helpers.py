@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from math import factorial, sqrt
@@ -23,11 +25,12 @@ from hierwave.dynamics import (
     momentum,
     potential_energy,
 )
-from hierwave.physicality import PauliViolation, PhysicalityReport, Reason
+from hierwave.physicality import PauliViolation, PhysicalityReport, Reason, check_basis_state
 from hierwave.rep_theory import EmptyProductError, IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
 from hierwave.repair_cascade import ComponentSpec, Organism
 from hierwave.state_tree import (
     _TOO_DEEP,
+    AMPLITUDE_TOL,
     FERMION,
     BasisLabel,
     HierarchyLevel,
@@ -39,6 +42,7 @@ from hierwave.state_tree import (
     SpinWeight,
     StateTooDeepError,
     UNSPECIFIED,
+    Violation,
     _amplitude,
     _integer,
     _label_to_obj,
@@ -275,10 +279,27 @@ def two_spin_state(parent_label: SpinWeight, child_ms: tuple[int, int]) -> HierS
     return HierState(NodeWave(level=parent_level, amplitudes=parent_amps), children)
 
 
-def _preorder(node: HierState, path: str = "root"):
-    yield path, node
+@contextmanager
+def recursion_limit(limit: int):
+    """Run the block with the recursion limit raised to at least limit, so
+    that the recursive references below can walk a deep chain."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _preorder(node: HierState, path: str = "root", out: list | None = None) -> list[tuple[str, HierState]]:
+    """Every (path, node) in pre-order, by plain recursion: one call per node
+    and no generators, so a deep chain needs only recursion_limit."""
+    if out is None:
+        out = []
+    out.append((path, node))
     for i, child in enumerate(node.children):
-        yield from _preorder(child, f"{path}.{i}")
+        _preorder(child, f"{path}.{i}", out)
+    return out
 
 
 def _members_at_depth(node: HierState, path: str, depth: int) -> list[tuple[str, HierState]]:
@@ -308,6 +329,62 @@ def reference_pauli_check(psi: HierState, scope: int) -> list[PauliViolation]:
                         PauliViolation(path, fermions[a][0], fermions[b][0], repr(fermions[a][1]))
                     )
     return violations
+
+
+def reference_validate_tree(psi: HierState, require_normalized: bool = False, path: str = "root",
+                            out: list | None = None) -> list[Violation]:
+    """validate_tree by plain recursion, with every check run at every node,
+    a leaf's empty set of child levels included."""
+    if out is None:
+        out = []
+    wave, level = psi.wave, psi.wave.level
+    if not level.basis:
+        out.append(Violation(path, "basis is empty"))
+    if len(set(level.basis)) != len(level.basis):
+        out.append(Violation(path, "basis labels are not unique"))
+    if len(wave.amplitudes) != len(level.basis):
+        out.append(Violation(path, f"amplitude count {len(wave.amplitudes)} != basis size {len(level.basis)}"))
+    child_levels = {c.wave.level.level_index for c in psi.children}
+    if len(child_levels) > 1:
+        out.append(Violation(path, f"children mix level indices {sorted(child_levels)}"))
+    for i, child in enumerate(psi.children):
+        if child.wave.level.level_index <= level.level_index:
+            out.append(Violation(f"{path}.{i}", f"child level index {child.wave.level.level_index} "
+                                                f"not greater than parent's {level.level_index}"))
+    if require_normalized:
+        n = sum(abs(a) ** 2 for a in wave.amplitudes)
+        if abs(n - 1.0) > AMPLITUDE_TOL:
+            out.append(Violation(path, f"norm^2 = {n!r} is not 1"))
+    for i, child in enumerate(psi.children):
+        reference_validate_tree(child, require_normalized, f"{path}.{i}", out)
+    return out
+
+
+def _reference_spin(node: HierState) -> SpinWeight | None:
+    """The dominant label of an SU(2) node with amplitudes, if a SpinWeight."""
+    wave = node.wave
+    if wave.level.group != SU2 or not wave.amplitudes:
+        return None
+    label = dominant_label(wave)
+    return label if isinstance(label, SpinWeight) else None
+
+
+def reference_check_node(psi: HierState, path: str = "root",
+                         out: list | None = None) -> list[tuple[str, PhysicalityReport]]:
+    """check_node by plain recursion: each internal node's own label and its
+    children's labels are found at that node."""
+    if out is None:
+        out = []
+    if psi.children:
+        parent = _reference_spin(psi)
+        children = [_reference_spin(c) for c in psi.children]
+        if parent is None or any(c is None for c in children):
+            out.append((path, PhysicalityReport((Reason.UNSUPPORTED_GROUP,), 0)))
+        else:
+            out.append((path, check_basis_state(parent, children)))
+    for i, child in enumerate(psi.children):
+        reference_check_node(child, f"{path}.{i}", out)
+    return out
 
 
 @dataclass(frozen=True)

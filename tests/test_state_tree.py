@@ -20,6 +20,7 @@ from hierwave.state_tree import (
     SU2,
     TRANSLATION_1D,
     UNSPECIFIED,
+    Violation,
     add,
     congruent,
     dominant_label,
@@ -198,6 +199,19 @@ class TestValidateTree:
         level = HierarchyLevel(0, SU2, (Named("a"), Named("a")))
         psi = HierState(NodeWave(level, (1.0, 0.0)))
         assert any("unique" in v.message for v in validate_tree(psi))
+
+    def test_empty_basis(self):
+        psi = HierState(NodeWave(HierarchyLevel(0, SU2, ()), ()))
+        assert validate_tree(psi) == [Violation("root", "basis is empty")]
+
+    def test_duplicate_basis_of_a_shared_level_is_reported_at_each_node_in_preorder(self):
+        twice = HierarchyLevel(1, SU2, (Named("a"), Named("a")))
+        again = HierarchyLevel(2, SU2, (Point(0), Point(0), Point(1)))
+        leaf_of = lambda level: HierState(NodeWave(level, (0.0,) * len(level.basis)))
+        middle = HierState(NodeWave(twice, (1.0, 0.0)), (leaf_of(again), leaf_of(again)))
+        psi = HierState(leaf(0, (1.0,)).wave, (leaf_of(twice), middle, leaf_of(twice)))
+        assert validate_tree(psi) == [Violation(path, "basis labels are not unique")
+                                      for path in ("root.0", "root.1", "root.1.0", "root.1.1", "root.2")]
 
     def test_normalization_flag(self):
         psi = leaf(0, (0.6, 0.8))

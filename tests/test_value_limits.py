@@ -6,16 +6,17 @@ import ast
 import copy
 import importlib
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hierwave.complexity import MatrixElementSeries
+from hierwave.complexity import MatrixElementSeries, symbolize
 from hierwave.dynamics import SimConfig, sim_config_from_obj
 from hierwave.rep_theory import CGQuery, InvalidQueryError, IrrepLabel
 from hierwave.repair_cascade import ComponentSpec, Organism
-from hierwave.state_tree import SU2, HierarchyLevel, NodeWave, SpinWeight, state_from_obj, state_to_obj
+from hierwave.state_tree import SU2, HierarchyLevel, HierState, NodeWave, SpinWeight, state_from_obj, state_to_obj
 
 from helpers import chain_state
 
@@ -51,6 +52,26 @@ def test_deep_tree_copies_equal(how, tree, depth):
     again = COPIES[how](value)
     assert type(again) is type(value) and again is not value
     assert again == value and hash(again) == hash(value)
+
+
+# trees whose every node but the root is a leaf, which _assemble makes without a stack entry
+LEAFY = {
+    "lone HierState": lambda: chain_state(0),
+    "HierState of leaves": lambda: chain_state(1, n_leaves=3),
+    "ComponentSpec of leaves": lambda: ComponentSpec("c", ONE, (ComponentSpec("a", HALF), ComponentSpec("b", HALF))),
+    "lone ComponentSpec": lambda: ComponentSpec("a", HALF),
+}
+
+
+@pytest.mark.parametrize("tree", LEAFY)
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_trees_of_leaves_copy_equal(how, tree):
+    value = LEAFY[tree]()
+    again = COPIES[how](value)
+    assert type(again) is type(value) and again is not value
+    assert again == value and hash(again) == hash(value)
+    below = lambda node: node.children if isinstance(node, HierState) else node.subcomponents
+    assert below(again).__class__ is tuple and all(below(leaf) == () for leaf in below(again))
 
 
 HUGE_TEXT = "x" * 10**6
@@ -99,6 +120,20 @@ def test_series_refuses_a_quantization_past_the_float_range():
     with pytest.raises(ValueError) as caught:
         MatrixElementSeries((1.0, 2.0), 10**400)
     assert str(caught.value) == f"quantization must lie within the float range, got {10**400}"
+
+
+@pytest.mark.parametrize("step", [Decimal("0.1"), Decimal(2)])
+def test_series_refuses_a_quantization_that_a_float_cannot_divide_by(step):
+    # it orders with floats, so it passed the positivity check, but symbolize divides floats by it
+    with pytest.raises(ValueError) as caught:
+        MatrixElementSeries((1.0, 2.0), step)
+    assert str(caught.value) == f"quantization must be a number, got {step!r}"
+
+
+def test_series_keeps_a_fraction_quantization_exact_through_symbolize():
+    series = MatrixElementSeries((1.0, 2.0, -0.5), Fraction(1, 3))
+    assert series.quantization == Fraction(1, 3)
+    assert symbolize(series) == [3, 6, -2]
 
 
 def test_series_refuses_a_fraction_quantization_that_rounds_to_zero():
