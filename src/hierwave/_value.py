@@ -1,7 +1,8 @@
 """The base of hierwave's immutable value types, the input rules they share
-(the bounded repr of error messages, the check of a field that holds a
-sequence of values, what counts as a number, and what counts as an integer
-in a document), the one error contract of the document loaders, and the
+(the bounded repr of error messages, the check of a field that holds one
+value of an exact class, the check of a field that holds a sequence of
+values, what counts as a number, and what counts as an integer in a
+document), the one error contract of the document loaders, and the
 pre-order walk of trees.  This module imports nothing from hierwave, so
 simulate and classify use it without rep_theory or state_tree."""
 
@@ -24,6 +25,15 @@ def _shown(value) -> str:
             return f"an int of {value.bit_length()} bits"
         return f"a value of type {type(value).__name__} that repr() cannot show"
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
+def _exact(value, cls, field: str, what: str, error: type[ValueError] = ValueError):
+    """value when its class is exactly cls, else error "{field} must be {what},
+    got ..." showing value: a subclass of cls, a bool or an IntEnum member for
+    an int included, is refused."""
+    if value.__class__ is cls:
+        return value
+    raise error(f"{field} must be {what}, got {_shown(value)}")
 
 
 def _members(value, kinds: tuple, field: str, what: str) -> tuple:

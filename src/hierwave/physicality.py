@@ -15,7 +15,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
-from ._value import _shown
+from ._value import _exact
 from .rep_theory import IrrepLabel, decompose_product
 from .state_tree import (
     FERMION,
@@ -106,9 +106,7 @@ def pauli_check(psi: HierState, scope: int = 1) -> list[PauliViolation]:
     direct siblings only, 2 compares all grandchildren of one node, etc.
     Components of different systems are never compared.
     """
-    if scope.__class__ is not int:
-        raise ValueError(f"scope must be an int, got {_shown(scope)}")
-    if scope < 1:
+    if _exact(scope, int, "scope", "an int") < 1:
         raise ValueError("scope must be >= 1")
     scope = min(scope, sys.maxsize)  # rsplit takes no more; no tree is that deep
     groups: dict[tuple, list[str]] = {}

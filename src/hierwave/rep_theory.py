@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb, prod, sqrt
 
-from ._value import _shown, _Value
+from ._value import _exact, _shown, _Value
 
 
 class EmptyProductError(ValueError):
@@ -75,10 +75,8 @@ def _check_weight(twice_j, twice_m, error: type[ValueError], prefix: str) -> Non
     """Raise error, its message opening with prefix, unless (2j, 2m) is an SU(2)
     weight: exact ints, as a float or bool would pass as an equal label, with
     2j >= 0, |m| <= j, and m and j of one parity."""
-    if type(twice_j) is not int:
-        raise error(f"{prefix}twice_j must be an int, got {_shown(twice_j)}")
-    if type(twice_m) is not int:
-        raise error(f"{prefix}twice_m must be an int, got {_shown(twice_m)}")
+    _exact(twice_j, int, prefix + "twice_j", "an int", error)
+    _exact(twice_m, int, prefix + "twice_m", "an int", error)
     if twice_j < 0:
         raise error(f"{prefix}twice_j must be >= 0, got {_shown(twice_j)}")
     if abs(twice_m) > twice_j:
@@ -118,9 +116,7 @@ class IrrepLabel(_Value):
 
     def __init__(self, twice_j: int) -> None:
         # exact ints only: a float would make dim and the weight count non-integral
-        if type(twice_j) is not int:
-            raise ValueError(f"twice_j must be an int, got {_shown(twice_j)}")
-        if twice_j < 0:
+        if _exact(twice_j, int, "twice_j", "an int") < 0:
             raise ValueError(f"twice_j must be >= 0, got {_shown(twice_j)}")
         object.__setattr__(self, "twice_j", twice_j)
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from ._value import _assemble, _document, _members, _preorder, _shown, _Value
-from .rep_theory import IrrepLabel, IrrepSum, decompose_product, format_j, parse_j
+from ._value import _assemble, _document, _exact, _members, _preorder, _Value
+from .rep_theory import IrrepLabel, decompose_product, format_j, parse_j
 
 
 class EmptyRemainderError(ValueError):
@@ -35,13 +35,9 @@ class ComponentSpec(_Value):
     __slots__ = ("name", "irrep", "subcomponents")
 
     def __init__(self, name: str, irrep: IrrepLabel, subcomponents: tuple[ComponentSpec, ...] = ()) -> None:
-        if name.__class__ is not str:
-            raise ValueError(f"name must be a str, got {_shown(name)}")
-        if irrep.__class__ is not IrrepLabel:
-            raise ValueError(f"irrep must be an IrrepLabel, got {_shown(irrep)}")
+        object.__setattr__(self, "name", _exact(name, str, "name", "a str"))
+        object.__setattr__(self, "irrep", _exact(irrep, IrrepLabel, "irrep", "an IrrepLabel"))
         subcomponents = _members(subcomponents, (ComponentSpec,), "subcomponents", "a sequence of ComponentSpecs")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "irrep", irrep)
         object.__setattr__(self, "subcomponents", subcomponents)
 
     def _key(self) -> tuple:
@@ -87,10 +83,8 @@ class Organism(_Value):
     __slots__ = ("target_irrep", "components")
 
     def __init__(self, target_irrep: IrrepLabel, components: tuple[ComponentSpec, ...]) -> None:
-        if target_irrep.__class__ is not IrrepLabel:
-            raise ValueError(f"target_irrep must be an IrrepLabel, got {_shown(target_irrep)}")
+        object.__setattr__(self, "target_irrep", _exact(target_irrep, IrrepLabel, "target_irrep", "an IrrepLabel"))
         components = _members(components, (ComponentSpec,), "components", "a sequence of ComponentSpecs")
-        object.__setattr__(self, "target_irrep", target_irrep)
         object.__setattr__(self, "components", components)
 
     def validate(self) -> list[str]:
@@ -159,9 +153,7 @@ def repair(remainder: Remainder, max_depth: int) -> CascadeResult:
     The cascade stops early when no component has subcomponents.
     Cost counts subcomponents materialized across all descents.
     """
-    if max_depth.__class__ is not int:
-        raise ValueError(f"max_depth must be an int, got {_shown(max_depth)}")
-    if max_depth < 0:
+    if _exact(max_depth, int, "max_depth", "an int") < 0:
         raise ValueError("max_depth must be >= 0")
     comps = list(remainder.components)
     steps: list[CascadeStep] = []

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from functools import partial
 from operator import attrgetter
 
-from ._value import _NUMBER, _as_integer, _assemble, _document, _members, _numbers, _preorder, _shown, _Value
+from ._value import _NUMBER, _as_integer, _assemble, _document, _exact, _members, _numbers, _preorder, _shown, _Value
 from .rep_theory import _check_weight, check_spin_range
 
 # symmetry-group tags; any other string is treated as a custom group
@@ -60,9 +60,7 @@ class Point(_Value):
     __slots__ = ("index",)
 
     def __init__(self, index: int) -> None:
-        if type(index) is not int:
-            raise ValueError(f"index must be an int, got {_shown(index)}")
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", _exact(index, int, "index", "an int"))
 
 
 class Named(_Value):
@@ -71,9 +69,7 @@ class Named(_Value):
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
-        if text.__class__ is not str:
-            raise ValueError(f"text must be a str, got {_shown(text)}")
-        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "text", _exact(text, str, "text", "a str"))
 
 
 BasisLabel = SpinWeight | Point | Named
@@ -86,13 +82,9 @@ class HierarchyLevel(_Value):
     __slots__ = ("level_index", "group", "basis")
 
     def __init__(self, level_index: int, group: str, basis: tuple[BasisLabel, ...]) -> None:
-        if level_index.__class__ is not int:
-            raise ValueError(f"level_index must be an int, got {_shown(level_index)}")
-        if group.__class__ is not str:
-            raise ValueError(f"group must be a str, got {_shown(group)}")
+        object.__setattr__(self, "level_index", _exact(level_index, int, "level_index", "an int"))
+        object.__setattr__(self, "group", _exact(group, str, "group", "a str"))
         basis = _members(basis, (SpinWeight, Point, Named), "basis", "a sequence of basis labels")
-        object.__setattr__(self, "level_index", level_index)
-        object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", basis)
 
 
@@ -105,10 +97,8 @@ class NodeWave(_Value):
 
     def __init__(self, level: HierarchyLevel, amplitudes: tuple[complex, ...],
                  statistics: str = UNSPECIFIED, quantum_numbers: tuple[int, ...] | None = None) -> None:
-        if level.__class__ is not HierarchyLevel:
-            raise ValueError(f"level must be a HierarchyLevel, got {_shown(level)}")
+        object.__setattr__(self, "level", _exact(level, HierarchyLevel, "level", "a HierarchyLevel"))
         amplitudes = _numbers(amplitudes, amplitudes, complex, "amplitudes", "a sequence of numbers")
-        object.__setattr__(self, "level", level)
         object.__setattr__(self, "amplitudes", amplitudes)
         if statistics not in STATISTICS:  # a tuple, so an unhashable value is refused too
             raise ValueError(f"statistics must be one of {', '.join(STATISTICS)}, got {_shown(statistics)}")
@@ -137,11 +127,8 @@ class HierState(_Value):
     __slots__ = ("wave", "children")
 
     def __init__(self, wave: NodeWave, children: tuple[HierState, ...] = ()) -> None:
-        if wave.__class__ is not NodeWave:
-            raise ValueError(f"wave must be a NodeWave, got {_shown(wave)}")
-        children = _members(children, (HierState,), "children", "a sequence of HierStates")
-        object.__setattr__(self, "wave", wave)
-        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "wave", _exact(wave, NodeWave, "wave", "a NodeWave"))
+        object.__setattr__(self, "children", _members(children, (HierState,), "children", "a sequence of HierStates"))
 
     def _key(self) -> tuple:
         return tuple(_preorder(self, _wave_and_children))
@@ -243,6 +230,8 @@ def validate_tree(psi: HierState, require_normalized: bool = False) -> list[Viol
                                                         f"than parent's {level.level_index}"))
         if require_normalized:
             n = node.wave.norm_sq()
+            # n - 1.0 is exact for n in [0.5, 2], and neither 1 + 1e-12 nor 1 - 1e-12 is a
+            # double, so the difference never equals AMPLITUDE_TOL and > acts as >= would
             if abs(n - 1.0) > AMPLITUDE_TOL:
                 out.append(Violation(path, f"norm^2 = {n!r} is not 1"))
     return out

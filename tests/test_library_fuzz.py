@@ -18,7 +18,7 @@ from hierwave.dynamics import SimConfig, sim_config_from_obj
 from hierwave.physicality import pauli_check
 from hierwave.rep_theory import CGQuery, IrrepLabel
 from hierwave.repair_cascade import ComponentSpec, Organism, Remainder, RemovalAction, organism_from_obj, repair
-from hierwave.state_tree import SU2, HierarchyLevel, HierState, Named, NodeWave, SpinWeight, state_from_obj
+from hierwave.state_tree import SU2, HierarchyLevel, HierState, Named, NodeWave, Point, SpinWeight, state_from_obj
 
 DATA = Path(hierwave.__file__).parent / "data"
 
@@ -84,6 +84,7 @@ CONSTRUCTORS = {
     "SpinWeight-twice_j": lambda v: SpinWeight(v, 0),
     "SpinWeight-twice_m": lambda v: SpinWeight(2, v),
     "IrrepLabel": IrrepLabel,
+    "Point-index": Point,
     **{f"CGQuery-{i}": lambda v, i=i: CGQuery(*[v if k == i else 1 for k in range(6)]) for i in range(6)},
     "HierarchyLevel-level_index": lambda v: HierarchyLevel(v, SU2, ()),
     "HierarchyLevel-group": lambda v: HierarchyLevel(0, v, ()),
@@ -133,6 +134,7 @@ WRONG_MEMBERS = ("[1]", "{a: 1}", "deep")
 NOT_AN_INT = tuple(v for v in JUNK_IDS if v != "10**400")  # an int is exact: a bool is not one
 NOT_A_NUMBER = ("None", "empty-str", "empty-list", "empty-dict", "[1]", "{a: 1}", "deep")  # not comparable with floats
 WRONG_TYPES = {
+    "Point-index": NOT_AN_INT,
     "HierarchyLevel-level_index": ("None", "True", "nan", "empty-str", "deep"),
     "HierarchyLevel-group": NOT_ONE,
     "HierarchyLevel-basis": NOT_ITERABLE + WRONG_MEMBERS,
@@ -168,6 +170,52 @@ def test_wrong_type_is_named_with_its_shown_value(name, value_id):
 
 class One(IntEnum):
     ONE = 1
+
+
+class Text(str):
+    pass
+
+
+# plain subclasses, without __slots__, of the value classes a field holds
+class SubLevel(HierarchyLevel):
+    pass
+
+
+class SubWave(NodeWave):
+    pass
+
+
+class SubIrrep(IrrepLabel):
+    pass
+
+
+# each field of one value that _value._exact checks, but for CGQuery's, whose
+# messages open with a prefix: its name and class in messages, and an
+# instance of a subclass of that class, which an isinstance test would keep
+SUBCLASSED = {
+    "Point-index": ("index", "an int", One.ONE),
+    "SpinWeight-twice_j": ("twice_j", "an int", One.ONE),
+    "SpinWeight-twice_m": ("twice_m", "an int", One.ONE),
+    "IrrepLabel": ("twice_j", "an int", One.ONE),
+    "HierarchyLevel-level_index": ("level_index", "an int", One.ONE),
+    "HierarchyLevel-group": ("group", "a str", Text(SU2)),
+    "Named-text": ("text", "a str", Text("a")),
+    "NodeWave-level": ("level", "a HierarchyLevel", SubLevel(0, SU2, (SpinWeight(1, 1),))),
+    "HierState-wave": ("wave", "a NodeWave", SubWave(LEVEL, (1,))),
+    "ComponentSpec-name": ("name", "a str", Text("a")),
+    "ComponentSpec-irrep": ("irrep", "an IrrepLabel", SubIrrep(1)),
+    "Organism-target_irrep": ("target_irrep", "an IrrepLabel", SubIrrep(0)),
+    "pauli_check-scope": ("scope", "an int", One.ONE),
+    "repair-max_depth": ("max_depth", "an int", One.ONE),
+}
+
+
+@pytest.mark.parametrize("name", SUBCLASSED)
+def test_field_of_one_value_refuses_a_subclass_of_its_class(name):
+    field, what, value = SUBCLASSED[name]
+    with pytest.raises(ValueError) as caught:
+        CALLS[name](value)
+    assert str(caught.value) == f"{field} must be {what}, got {_shown(value)}"
 
 
 # a value that is not a number (_value._numbers) though float() or complex() takes

@@ -140,3 +140,19 @@ def test_only_the_value_module_spells_the_number_classes():
                 if {"int", "float"} <= names:
                     spelled.append((path.name, node.lineno))
     assert {name for name, _ in spelled} == {"_value.py"}, spelled
+
+
+def test_only_the_value_module_tests_a_field_class():
+    """Whether a field holds a value of its exact class is decided in _value
+    alone, by _exact, _members and _numbers: no other module has an `is not`
+    comparison of X.__class__ or type(X)."""
+    tested = []
+    for path in sorted(Path(hierwave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(isinstance(op, ast.IsNot) for op in node.ops):
+                left = node.left
+                if ((isinstance(left, ast.Attribute) and left.attr == "__class__")
+                        or (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                            and left.func.id == "type")):
+                    tested.append((path.name, node.lineno))
+    assert {name for name, _ in tested} == {"_value.py"}, tested
