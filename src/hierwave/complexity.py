@@ -10,7 +10,9 @@ captured by a short generative rule ("RuleLike").
 
 Bit-stream layout (all integers Elias-gamma coded; the code of n is
 2*n.bit_length() - 1 bits long, so description_length sums the code
-lengths without building the stream, each run's pair of lengths inline):
+lengths without building the stream, each run's pair of lengths inline;
+a run of one symbol, the common run of a noisy series, adds only its
+value's code and the 1 bit of gamma(1)):
     gamma(K)                        number of distinct symbols
     K * gamma(zigzag(symbol) + 1)   dictionary, first-appearance order
     gamma(n)                        series length
@@ -126,7 +128,9 @@ def _coded(symbols: Iterable[int]) -> tuple[int, int, int]:
     end.  A symbol not yet seen sits behind all that were, at the count of
     symbols seen so far.  A repeated symbol is already at position 0 and
     leaves the order unchanged, so it skips the update.  `last` keeps its
-    keys in first-appearance order, the dictionary's order.
+    keys in first-appearance order, the dictionary's order.  A run's code
+    lengths are summed as it closes, and the length code of a run of one
+    symbol, gamma(1), is 1 bit and needs no `bit_length` call.
     """
     last: dict[int, int] = {}
     times: list[int] = []
@@ -156,8 +160,12 @@ def _coded(symbols: Iterable[int]) -> tuple[int, int, int]:
         if pos == run_val:
             run_len += 1
         else:
-            # gamma(run_val + 1) + gamma(run_len), summed inline
-            bits += gamma2[run_val] + 2 * run_len.bit_length() - 2
+            # gamma(run_val + 1) + gamma(run_len), summed inline, is
+            # gamma2[run_val] + 2 * run_len.bit_length() - 2, so a run of one
+            # symbol adds gamma2[run_val] alone (`run_len >= 1` adds 0 more)
+            bits += gamma2[run_val]
+            if run_len > 1:
+                bits += 2 * run_len.bit_length() - 2
             run_val, run_len = pos, 1
     if not last:
         raise ValueError("cannot encode an empty symbol sequence")

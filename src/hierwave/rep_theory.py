@@ -75,8 +75,11 @@ def _check_weight(twice_j, twice_m, error: type[ValueError], prefix: str) -> Non
     """Raise error, its message opening with prefix, unless (2j, 2m) is an SU(2)
     weight: exact ints, as a float or bool would pass as an equal label, with
     2j >= 0, |m| <= j, and m and j of one parity."""
-    _exact(twice_j, int, prefix + "twice_j", "an int", error)
-    _exact(twice_m, int, prefix + "twice_m", "an int", error)
+    try:
+        _exact(twice_j, int, "twice_j", "an int", error)
+        _exact(twice_m, int, "twice_m", "an int", error)
+    except error as exc:  # the prefixed name is built only for the message
+        raise error(prefix + str(exc)) from None
     if twice_j < 0:
         raise error(f"{prefix}twice_j must be >= 0, got {_shown(twice_j)}")
     if abs(twice_m) > twice_j:

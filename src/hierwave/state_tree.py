@@ -347,15 +347,34 @@ def state_from_obj(obj: dict) -> HierState:
 
 def state_to_json(psi: HierState) -> str:
     """The JSON text of a state; one with a non-finite amplitude, which JSON
-    cannot hold and state_from_json refuses, raises ValueError."""
+    cannot hold and state_from_json refuses, or with an int too long for
+    str(), raises ValueError."""
     try:
         return json.dumps(state_to_obj(psi), check_circular=False, allow_nan=False)  # state_to_obj builds no cycle
     except RecursionError:
         raise StateTooDeepError(_TOO_DEEP) from None
     except ValueError:  # json's own text for a non-finite float differs between Python versions
-        if all(cmath.isfinite(a) for w, _ in _preorder(psi, _wave_and_children) for a in w.amplitudes):
-            raise  # an int too long for str(), which json refuses too
-        raise ValueError("amplitudes must be finite to be saved: JSON has no NaN or infinity") from None
+        if not all(cmath.isfinite(a) for w, _ in _preorder(psi, _wave_and_children) for a in w.amplitudes):
+            raise ValueError("amplitudes must be finite to be saved: JSON has no NaN or infinity") from None
+        _refuse_int_too_long_for_str(psi)  # an int too long for str(), which json refuses too
+        raise
+
+
+def _refuse_int_too_long_for_str(psi: HierState) -> None:
+    """Raise ValueError naming the node and field of the first int in
+    pre-order that str(), and so json, refuses: past
+    sys.get_int_max_str_digits() digits."""
+    for path, node in iter_nodes(psi):
+        wave = node.wave
+        fields = [("level_index", wave.level.level_index)]
+        fields += [(f"basis[{i}].index", b.index) for i, b in enumerate(wave.level.basis) if isinstance(b, Point)]
+        fields += [(f"quantum_numbers[{i}]", q) for i, q in enumerate(wave.quantum_numbers or ())]
+        for field, value in fields:
+            try:
+                str(value)
+            except ValueError:
+                raise ValueError(f"{path}: {field} is {_shown(value)}, "
+                                 "too long for integer string conversion") from None
 
 
 def state_from_json(text: str) -> HierState:

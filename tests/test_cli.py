@@ -947,3 +947,23 @@ def test_closed_stdout_exits_quietly():
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--spins", "1/2,1/2"],
+    ["info", "--state", data_path("two_spin_example.json")],
+])
+def test_main_re_raises_a_closed_stdout_and_prints_nothing(argv, capsys, monkeypatch):
+    # a BrokenPipeError is an OSError, which main() would print as a domain
+    # error; it goes up to run() instead, which exits 1 quietly
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(argv)
+    assert capsys.readouterr().err == ""

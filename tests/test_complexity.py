@@ -40,6 +40,13 @@ class TestSeriesType:
             MatrixElementSeries(values=(1.0,), quantization=0.0)
         assert str(exc.value) == "quantization must be positive and finite, got 0.0"
 
+    @pytest.mark.parametrize("q", [-0.5, math.inf, -math.inf, math.nan])
+    def test_quantization_finite(self, q):
+        # 1.0 / inf is 0.0 and raises nothing, so only the range check refuses inf
+        with pytest.raises(ValueError) as exc:
+            MatrixElementSeries(values=(1.0,), quantization=q)
+        assert str(exc.value) == f"quantization must be positive and finite, got {q!r}"
+
 
 class TestSymbolize:
     def test_constant(self):
@@ -319,6 +326,53 @@ class TestInlineCodeLengths:
         for seq in (big, big * 3, [b for b in big for _ in range(5)], big[::-1] + big):
             assert description_length(seq) == reference_description_length(seq)
             assert_matches_references(seq)
+
+
+RUN_LENGTHS = (1, 2, 3, 4, 7, 8, 15, 16)  # gamma codes of 1 to 9 bits, each range at both ends but the last
+
+
+def _with_runs(k: int, runs: list[tuple[int, int]]) -> list[int]:
+    """Symbols whose move-to-front stream is 0, 1, ..., k - 1 (the first pass
+    over symbols 0 to k - 1) and then each (position, length) run in turn."""
+    seq = list(range(k))
+    mtf = seq[::-1]
+    for pos, length in runs:
+        for _ in range(length):
+            s = mtf.pop(pos)
+            mtf.insert(0, s)
+            seq.append(s)
+    return seq
+
+
+class TestRunLengthCodes:
+    """Runs of 1 to 16 symbols at move-to-front positions 0, 1 and K - 1: a
+    run of one symbol adds only its value's code and the 1 bit of gamma(1),
+    a longer one its full length code."""
+
+    @pytest.mark.parametrize("k", [3, 6, 40])
+    def test_runs_match_reference_coders(self, k):
+        rising = [(pos, length) for length in RUN_LENGTHS for pos in (0, 1, k - 1)]
+        falling = rising[::-1]
+        # rising ends in a run of 16 at K - 1, falling in a run of one at 0
+        for runs in (rising, rising + [(1, 1)], falling, falling + [(1, 16)]):
+            seq = _with_runs(k, runs)
+            assert_matches_references(seq)
+            report = classify(series(seq, 1.0))
+            assert report.compressed_bits == len(encode_symbols(seq)) == scan_description_length(seq)
+            assert report.raw_bits == raw_bits(seq)
+
+    def test_stream_holds_the_runs_asked_for(self):
+        # the body of encode_symbols, read back as (value + 1, length) pairs
+        runs = [(2, 1), (0, 7), (1, 16), (2, 2), (0, 1)]
+        bits = encode_symbols(_with_runs(3, runs))
+        pos = dictionary_header_bits([0, 1, 2])
+        _, pos = _read_gamma(bits, pos)  # the series' length
+        pairs = []
+        while pos < len(bits):
+            value, pos = _read_gamma(bits, pos)
+            length, pos = _read_gamma(bits, pos)
+            pairs.append((value - 1, length))
+        assert pairs == [(0, 1), (1, 1), (2, 2), (0, 7), (1, 16), (2, 2), (0, 1)]
 
 
 class TestSymbolizeMapping:

@@ -382,6 +382,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="integer string conversion"):
             state_to_json(psi)
 
+    @pytest.mark.parametrize("field, path, named", [
+        ("level_index", "root.0", "level_index"),
+        ("index", "root.0", "basis[1].index"),
+        ("quantum_number", "root", "quantum_numbers[1]"),
+    ])
+    def test_save_int_too_long_for_str_names_its_field_and_keeps_existing_file(self, field, path, named, tmp_path):
+        big = -(10**5000) if field == "index" else 10**5000
+        at = {field: big}
+        child_level = HierarchyLevel(at.get("level_index", 1), TRANSLATION_1D, (Point(0), Point(at.get("index", 1))))
+        root = NodeWave(HierarchyLevel(0, TRANSLATION_1D, (Point(0),)), (1.0,),
+                        quantum_numbers=(1, at.get("quantum_number", 2)))
+        # a later node past the limit too: the first one in pre-order is named
+        later = HierState(NodeWave(HierarchyLevel(10**5000, TRANSLATION_1D, (Point(0),)), (1.0,)))
+        psi = HierState(root, (HierState(NodeWave(child_level, (0.6, 0.8))), later))
+        file = tmp_path / "state.json"
+        file.write_text("previous contents")
+        with pytest.raises(ValueError) as caught:
+            save_state(psi, str(file))
+        assert str(caught.value) == f"{path}: {named} is an int of 16610 bits, too long for integer string conversion"
+        assert file.read_text() == "previous contents"
+
 
 class TestDepth:
     def test_in_memory_operations_on_depth_ten_thousand_chain(self):
